@@ -22,7 +22,8 @@ from .dual_graph import (
     intersection_form,
     is_negative_definite,
 )
-from .quadrature import QuadratureResult, integral_Ik, weighted_graph_norm_defect
+from .cutoff import GRADIENT_CONSTANT
+from .quadrature import integral_Ik, weighted_graph_norm_defect  # noqa: F401 (re-exported)
 
 FIRST_KIND_FORMULA = "pi_* K_M"
 SECOND_KIND_FORMULA = "pi_*(K_M (x) O(-Z))"
@@ -117,11 +118,14 @@ def _graph_summary(g: DualGraph) -> dict:
 
 
 def _integral_table(n: int, rel_tol: float, k_max: int = 3) -> tuple[IntegralRow, ...]:
+    """One integral per k; the defect bound C^2 I~_k (C the cut-off gradient
+    constant) is the value weighted_graph_norm_defect reports."""
     rows = []
     for k in range(1, k_max + 1):
-        res: QuadratureResult = integral_Ik(n, k, rel_tol)
-        bound = weighted_graph_norm_defect(n, k, rel_tol)
-        rows.append(IntegralRow(k, res.value, res.error_estimate, bound.value))
+        res = integral_Ik(n, k, rel_tol)
+        rows.append(
+            IntegralRow(k, res.value, res.error_estimate, GRADIENT_CONSTANT**2 * res.value)
+        )
     return tuple(rows)
 
 

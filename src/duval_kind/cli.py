@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 bad arguments / malformed input, 3 numeric
 budget exceeded, 4 graph not negative definite.  Payload goes to stdout,
-diagnostics to stderr.  The WORKERS environment variable (default 1)
-controls quadrature parallelism; single-worker runs are byte-identical.
+diagnostics to stderr.  Repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -97,7 +96,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_cycle(args) -> int:
     if args.graph is not None:
-        g = load_graph(args.graph)
+        try:
+            g = load_graph(args.graph)
+        except OSError as exc:  # missing or unreadable file, or a directory
+            raise SystemExit2(str(exc)) from exc
         if not is_negative_definite(intersection_form(g)):
             print("graph is not negative definite", file=sys.stderr)
             return EXIT_NOT_NEGATIVE_DEFINITE
@@ -203,9 +205,6 @@ def main(argv: list[str] | None = None) -> int:
     except QuadratureBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def _parse_source(argv: list[str] | None) -> str | None:

@@ -1,34 +1,86 @@
-"""Adaptive log-polar quadrature for the annulus integrals I~_k, the
+"""Level-set (coarea) quadrature for the annulus integrals I~_k, the
 dominating integral and the L^2 norm of the A_n structure form.
 
-All integrals are reduced to two dimensions: phases contribute an exact
-(2 pi)^2, and the moduli are parametrized by u_i = log rho_i.  With
-L(u1, u2) = logsumexp{(2n+2)u1, (2n+2)u2, 2(u1+u2)} the annulus
-integrand is exp(2u1 + 2u2 - L) / L^2 restricted to the band
--2 e^{k+1} < L < -2 e^k, and the structure-form integrand is
-(n+1) exp(2u1 + 2u2) restricted to L < 2 log eps.
+Phases contribute an exact (2 pi)^2, and the moduli are parametrized by
+u_i = log rho_i, where the squared ambient norm has logarithm
+L = logsumexp{(2n+2)u1, (2n+2)u2, 2(u1+u2)}.  In s = u1+u2, d = u1-u2
+(du1 du2 = ds dd / 2, and everything is even in d)
 
-The engine bisects rectangles adaptively with a tensor Gauss-Legendre
-rule (15-point value, 7-point embedded error estimate).  L is strictly
-increasing in each u_i, so a rectangle is classified exactly as inside,
-outside or straddling the region from its corner values; straddling
-rectangles are refined until their contribution is resolved.
+    L = 2s + softplus(psi),   psi = (n-1)s + log 2cosh((n+1)d),
+
+which is strictly increasing in s with dL/ds = 2 + (n-1) sigma(psi) in
+[2, n+1].  Taking l = L itself as the outer coordinate (coarea formula,
+Federer 1959) turns both regions into products and removes every
+indicator:
+
+    I~_k = (2 pi)^2 int_{-2e^{k+1}}^{-2e^k} dl / l^2
+                    int_0^inf sigma(-psi) / (2 + (n-1) sigma(psi)) dd,
+    ||omega||^2 = 2 pi^2 (n+1) int_0^inf e^{2 s*(d)} dd,
+
+with s*(d) the level s at l = 2 log eps (the inner s-integral of
+e^{2s} is exact).  The d-integrands are smooth: about 1/2 (resp.
+eps^2) below the corner d* = (n-1)|l| / (2(n+1)), where
+psi = 0, and decaying like e^{-2(d-d*)} beyond it, because
+softplus(psi) >= 2(d - d*).  The d-axis is cut at d* + 40 and the
+dropped tail is bounded in closed form.
+
+Both integrals run on one adaptive Gauss-Kronrod kernel (G7/K15,
+QUADPACK, Piessens et al. 1983), vectorised over the nodes of all
+panels of a family of integrals.  A panel's error estimate is
+|K15 - G7|, floored at 50 eps_mach sum h |K| and increased by the
+errors of nested inner integrals weighted by the outer rule.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cutoff import GRADIENT_CONSTANT
+from .models import log_ambient_norm_squared_pullback
+
 TWO_PI_SQ = 4.0 * math.pi**2
 
-_GAUSS_HI = np.polynomial.legendre.leggauss(15)
-_GAUSS_LO = np.polynomial.legendre.leggauss(7)
+# QUADPACK qk15: Kronrod nodes in ascending order; the Gauss nodes are
+# every second one, starting at index 1.
+_XK_HALF = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+)
+_WK_HALF = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+)
+_WK_CENTER = 0.209482141084727828012999174891714
+_WG_HALF = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+)
+_WG_CENTER = 0.417959183673469387755102040816327
+
+_XK = np.array([-x for x in _XK_HALF] + [0.0] + list(reversed(_XK_HALF)))
+_WK = np.array(list(_WK_HALF) + [_WK_CENTER] + list(reversed(_WK_HALF)))
+_WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
+
+_ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
+# the d-axis is cut at d* + _TAIL; the dropped tail is below e^{-2 _TAIL}
+_TAIL = 40.0
+# nested inner integrals get this share of the relative tolerance
+_INNER_SHARE = 0.1
+_NEWTON_STEPS = 60
 
 
 class QuadratureRangeError(ValueError):
@@ -55,243 +107,134 @@ class QuadratureResult:
             raise ValueError("quadrature results are non-negative")
 
 
-@dataclass(frozen=True)
-class LogPolarRegion:
-    """Band log_lo < L(u1, u2) < log_hi intersected with u_i >= tail_cut.
+# -- the G7/K15 kernel ---------------------------------------------------------
 
-    log_hi may be +inf for one-sided (sublevel) regions.
+def _kronrod(f, lo, hi, rows):
+    """K15 values and error estimates of the panels [lo, hi] of integrals rows,
+    plus the panels nested integrals in f evaluated."""
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (hi + lo)[:, None] + half[:, None] * _XK
+    fx, node_err, inner_panels = f(x, np.broadcast_to(rows[:, None], x.shape))
+    kronrod = half * (fx @ _WK)
+    gauss = half * (fx[:, 1::2] @ _WG)
+    width = np.abs(half)
+    floor = _ROUNDOFF_FLOOR * width * (np.abs(fx) @ _WK)
+    err = np.maximum(np.abs(kronrod - gauss), floor)
+    err = err + width * (np.broadcast_to(node_err, fx.shape) @ _WK)
+    return kronrod, err, inner_panels
+
+
+def _gauss_kronrod(f, points, rel_tol, max_panels):
+    """Adaptive G7/K15 for a family of integrals int f(x, j) dx, j = 0..m-1.
+
+    points: array (m, p) of breakpoints per integral; panels of zero width
+    are dropped.  f(x, rows) returns (values, node errors,
+    inner panels) for node array x and same-shaped row indices.  Every
+    panel of an integral whose error exceeds its tolerance rel_tol |value|
+    bisects while its own error exceeds that tolerance's equal share per
+    panel.  Stops when all integrals meet the tolerance or max_panels
+    panels have been evaluated; returns (values, errors, panels).
     """
-
-    log_lo: float
-    log_hi: float
-    tail_cut: float
-
-
-def _log_f_squared(n: int, u1, u2):
-    """L = log(rho1^{2n+2} + rho2^{2n+2} + rho1^2 rho2^2) elementwise."""
-    a = (2 * n + 2) * u1
-    b = (2 * n + 2) * u2
-    c = 2.0 * (u1 + u2)
-    m = np.maximum(np.maximum(a, b), c)
-    return m + np.log(np.exp(a - m) + np.exp(b - m) + np.exp(c - m))
-
-
-def _annulus_integrand(n: int):
-    def f(u1, u2):
-        L = _log_f_squared(n, u1, u2)
-        return np.exp(2.0 * (u1 + u2) - L) / (L * L)
-
-    return f
-
-
-def _volume_integrand(n: int):
-    def f(u1, u2):
-        return np.exp(2.0 * (u1 + u2))
-
-    return f
-
-
-def _workers() -> int:
-    try:
-        w = int(os.environ.get("WORKERS", "1"))
-    except ValueError:
-        w = 1
-    return max(w, 1)
+    m = points.shape[0]
+    lo, hi = points[:, :-1].ravel(), points[:, 1:].ravel()
+    rows = np.repeat(np.arange(m), points.shape[1] - 1)
+    nonempty = hi != lo
+    lo, hi, rows = lo[nonempty], hi[nonempty], rows[nonempty]
+    val, err, panels = _kronrod(f, lo, hi, rows)
+    panels += len(lo)
+    while True:
+        value = np.bincount(rows, val, m)
+        error = np.bincount(rows, err, m)
+        tol = rel_tol * np.abs(value)
+        unmet = error > tol
+        if not unmet.any() or panels >= max_panels:
+            return value, error, panels
+        share = tol / np.bincount(rows, minlength=m)
+        split = unmet[rows] & (err > share[rows])
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_rows = np.tile(rows[split], 2)
+        new_val, new_err, inner_panels = _kronrod(f, new_lo, new_hi, new_rows)
+        panels += inner_panels + len(new_lo)
+        keep = ~split
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        rows = np.concatenate([rows[keep], new_rows])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
 
 
-def _eval_cells(f, n, region, cells, rule):
-    """Tensor-rule values over a batch of cells, restricted to the region.
+def _checked(value, error, panels, scale, truncation, rel_tol, max_panels) -> "QuadratureResult":
+    """The kernel's result times scale, or QuadratureBudgetError carrying it
+    if the kernel stopped short of the tolerance."""
+    result = QuadratureResult(
+        max(scale * float(value), 0.0), scale * float(error), int(panels), truncation
+    )
+    if not error <= rel_tol * abs(value):
+        raise QuadratureBudgetError(
+            f"subregion budget {max_panels} exhausted "
+            f"(value {result.value:.6e}, rel err {error / max(abs(value), 1e-300):.2e})",
+            result,
+        )
+    return result
 
-    cells: array (m, 4) of (u1lo, u1hi, u2lo, u2hi).  Returns the
-    per-cell rule values and the maximal |f| over in-region nodes.
+
+def adaptive_1d(f, a: float, b: float, rel_tol: float, max_intervals: int = 100_000):
+    """Adaptive G7/K15 on [a, b] for a smooth integrand f that maps an array
+    of nodes to an array of values; returns (value, error_estimate)."""
+    value, error, panels = _gauss_kronrod(
+        lambda x, rows: (f(x), 0.0, 0), np.array([[a, b]], dtype=float), rel_tol, max_intervals
+    )
+    _checked(value[0], error[0], panels, 1.0, 0.0, rel_tol, max_intervals)
+    return float(value[0]), float(error[0])
+
+
+# -- level-set coordinates -----------------------------------------------------
+
+def _softplus(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _level_s(n: int, ell, d):
+    """s solving 2s + softplus(psi) = ell, psi = (n-1)s + log 2cosh((n+1)d).
+
+    Returns (s, psi).  The left side is convex and increasing in s with
+    slope in [2, n+1], and softplus(x) >= max(x, 0) puts the start
+    min(ell/2, (ell - log 2cosh((n+1)d))/(n+1)) right of the root, so
+    Newton decreases monotonically onto it.
     """
-    nodes, weights = rule
-    q = len(nodes)
-    half1 = 0.5 * (cells[:, 1] - cells[:, 0])
-    half2 = 0.5 * (cells[:, 3] - cells[:, 2])
-    mid1 = 0.5 * (cells[:, 1] + cells[:, 0])
-    mid2 = 0.5 * (cells[:, 3] + cells[:, 2])
-    u1 = mid1[:, None, None] + half1[:, None, None] * nodes[None, :, None]
-    u2 = mid2[:, None, None] + half2[:, None, None] * nodes[None, None, :]
-    u1b, u2b = np.broadcast_arrays(u1, u2)
-    L = _log_f_squared(n, u1b, u2b)
-    inside = (L > region.log_lo) & (L < region.log_hi)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = np.where(inside, f(u1b, u2b), 0.0)
-    w2 = weights[:, None] * weights[None, :]
-    cell_vals = (vals * w2[None, :, :]).sum(axis=(1, 2)) * half1 * half2
-    max_f = vals.max(axis=(1, 2))
-    return cell_vals, max_f
+    y = (n + 1) * np.abs(d)
+    log_2cosh = y + np.log1p(np.exp(-2.0 * y))
+    if n == 1:
+        s = 0.5 * (ell - _softplus(log_2cosh))
+        return s, log_2cosh
+    s = np.minimum(0.5 * ell, (ell - log_2cosh) / (n + 1))
+    # rounding noise of the residual 2s + softplus(psi) - ell; the root is
+    # within log(2)/2 of the start
+    tol = 4.0 * np.finfo(float).eps * (np.abs(ell) + (n + 1) * (np.abs(s) + 1.0) + log_2cosh)
+    for _ in range(_NEWTON_STEPS):
+        psi = (n - 1) * s + log_2cosh
+        sp = _softplus(psi)
+        step = (2.0 * s + sp - ell) / (2.0 + (n - 1) * np.exp(psi - sp))
+        s = s - step
+        if np.all(np.abs(step) <= tol):
+            return s, (n - 1) * s + log_2cosh
+    raise ArithmeticError(f"Newton for the level s did not converge in {_NEWTON_STEPS} steps")
 
 
-def _classify_cells(n, region, cells):
-    """Exact inside/outside/straddle classification from corner values of
-    L, which is strictly increasing in each coordinate."""
-    L_min = _log_f_squared(n, cells[:, 0], cells[:, 2])
-    L_max = _log_f_squared(n, cells[:, 1], cells[:, 3])
-    outside = (L_max <= region.log_lo) | (L_min >= region.log_hi)
-    inside = (L_min >= region.log_lo) & (L_max <= region.log_hi)
-    return inside, outside
-
-
-def _adaptive_2d(
-    f,
-    n: int,
-    region: LogPolarRegion,
-    box_hi: float,
-    rel_tol: float,
-    max_cells: int,
-    truncation_bound: float,
-    scale: float,
-) -> QuadratureResult:
-    """Adaptive bisection over the box [tail_cut, box_hi]^2."""
-    lo = region.tail_cut
-    if not lo < box_hi:
-        raise QuadratureRangeError("empty integration box")
-
-    # initial grid, fine enough that the band is seen
-    m = 12
-    grid = np.linspace(lo, box_hi, m + 1)
-    cells = np.array(
-        [
-            (grid[i], grid[i + 1], grid[j], grid[j + 1])
-            for i in range(m)
-            for j in range(m)
-        ]
-    )
-
-    workers = _workers()
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
-
-    def evaluate(batch):
-        if pool is None or len(batch) < 2 * workers:
-            hi_vals, max_f = _eval_cells(f, n, region, batch, _GAUSS_HI)
-            lo_vals, _ = _eval_cells(f, n, region, batch, _GAUSS_LO)
-        else:
-            chunks = np.array_split(batch, workers)
-            hi_parts = list(
-                pool.map(lambda c: _eval_cells(f, n, region, c, _GAUSS_HI), chunks)
-            )
-            lo_parts = list(
-                pool.map(lambda c: _eval_cells(f, n, region, c, _GAUSS_LO), chunks)
-            )
-            hi_vals = np.concatenate([p[0] for p in hi_parts])
-            max_f = np.concatenate([p[1] for p in hi_parts])
-            lo_vals = np.concatenate([p[0] for p in lo_parts])
-        inside, outside = _classify_cells(n, region, batch)
-        straddle = ~inside & ~outside
-        area = (batch[:, 1] - batch[:, 0]) * (batch[:, 3] - batch[:, 2])
-        err = np.abs(hi_vals - lo_vals)
-        # straddling cells carry a discontinuous indicator; the embedded
-        # estimate is unreliable there, so force refinement via a bound
-        # proportional to the largest in-region node value
-        err = np.where(straddle, np.maximum(err, 0.25 * max_f * area), err)
-        err = np.where(outside, 0.0, err)
-        hi_vals = np.where(outside, 0.0, hi_vals)
-        assert np.all(hi_vals[outside] == 0.0)
-        return hi_vals, err
-
-    try:
-        values, errors = evaluate(cells)
-        store_cells = [tuple(c) for c in cells]
-        store_vals = list(map(float, values))
-        store_errs = list(map(float, errors))
-        heap = [(-e, i) for i, e in enumerate(store_errs) if e > 0.0]
-        heapq.heapify(heap)
-        active = [True] * len(store_cells)
-
-        def totals():
-            # pairwise summation over the active cells (stable, associative-safe)
-            vals = np.array([v for v, a in zip(store_vals, active) if a])
-            errs = np.array([e for e, a in zip(store_errs, active) if a])
-            return float(np.sum(vals)), float(np.sum(errs))
-
-        total_val, total_err = totals()
-        batch_size = 64
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds % 128 == 0:
-                total_val, total_err = totals()  # periodic exact resum
-            target = rel_tol * max(abs(total_val), 1e-300)
-            if total_err <= target:
-                total_val, total_err = totals()
-                if total_err <= rel_tol * max(abs(total_val), 1e-300):
-                    break
-            if len(store_cells) > max_cells:
-                raise QuadratureBudgetError(
-                    f"subregion budget {max_cells} exhausted "
-                    f"(value {scale * total_val:.6e}, rel err "
-                    f"{total_err / max(abs(total_val), 1e-300):.2e})",
-                    QuadratureResult(
-                        max(scale * total_val, 0.0),
-                        scale * total_err,
-                        len(store_cells),
-                        truncation_bound,
-                    ),
-                )
-            # refine the worst cells
-            picked = []
-            while heap and len(picked) < batch_size:
-                negerr, idx = heapq.heappop(heap)
-                if active[idx] and store_errs[idx] == -negerr:
-                    picked.append(idx)
-            if not picked:
-                break
-            children = []
-            for idx in picked:
-                a, b, c, d = store_cells[idx]
-                active[idx] = False
-                total_val -= store_vals[idx]
-                total_err -= store_errs[idx]
-                if b - a >= d - c:
-                    mid = 0.5 * (a + b)
-                    children.append((a, mid, c, d))
-                    children.append((mid, b, c, d))
-                else:
-                    mid = 0.5 * (c + d)
-                    children.append((a, b, c, mid))
-                    children.append((a, b, mid, d))
-            child_arr = np.array(children)
-            cvals, cerrs = evaluate(child_arr)
-            for cell, v, e in zip(children, cvals, cerrs):
-                store_cells.append(cell)
-                store_vals.append(float(v))
-                store_errs.append(float(e))
-                active.append(True)
-                total_val += float(v)
-                total_err += float(e)
-                if e > 0.0:
-                    heapq.heappush(heap, (-float(e), len(store_cells) - 1))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    total_val, total_err = totals()
-    return QuadratureResult(
-        value=max(scale * total_val, 0.0),
-        error_estimate=scale * total_err,
-        subregions_used=len(store_cells),
-        truncation_bound=truncation_bound,
+def _d_points(n: int, ell):
+    """Breakpoints 0, d*-10, d*+10, d*+40 in d for each level ell."""
+    d_star = (n - 1) * np.abs(ell) / (2.0 * (n + 1))
+    zero = np.zeros_like(d_star)
+    return np.stack(
+        [zero, np.maximum(d_star - 10.0, 0.0), d_star + 10.0, d_star + _TAIL], axis=-1
     )
 
 
-def _band_region(n: int, k: int) -> tuple[LogPolarRegion, float, float]:
-    """Region, box upper bound and certified truncation bound for I~_k."""
-    log_lo = -2.0 * math.exp(k + 1)
-    log_hi = -2.0 * math.exp(k)
-    u_max = -math.exp(k) / (n + 1)
-    # in the far tail u1 < U the band forces
-    # u2 >= w_min = -(2 e^{k+1} + log 3) / (2n+2); the integrand is
-    # bounded there by exp(2 u1 - 2 n u2) / (4 e^{2k}), so cutting at
-    # U = n w_min - 40 leaves a tail below
-    # (2 pi)^2 e^{-80} (u_max - w_min) / (4 e^{2k})
-    w_min = -(2.0 * math.exp(k + 1) + math.log(3.0)) / (2 * n + 2)
-    U = n * w_min - 40.0
-    tail = TWO_PI_SQ * math.exp(2 * U - 2 * n * w_min) * (u_max - w_min) / (
-        4.0 * math.exp(2 * k)
-    )
-    return LogPolarRegion(log_lo, log_hi, U), u_max, tail
+def _check_tol(rel_tol: float) -> None:
+    if not (math.isfinite(rel_tol) and rel_tol >= 1e-8):
+        raise QuadratureRangeError(f"rel_tol must be finite and >= 1e-8, got {rel_tol}")
 
 
 def integral_Ik(n: int, k: int, rel_tol: float, max_cells: int = 400_000) -> QuadratureResult:
@@ -300,19 +243,28 @@ def integral_Ik(n: int, k: int, rel_tol: float, max_cells: int = 400_000) -> Qua
         raise QuadratureRangeError(f"n must be >= 1, got {n}")
     if not 1 <= k <= 4:
         raise QuadratureRangeError(f"k must be in 1..4 (binary64 regime), got {k}")
-    if rel_tol < 1e-8:
-        raise QuadratureRangeError("rel_tol must be >= 1e-8")
-    region, u_max, tail = _band_region(n, k)
-    return _adaptive_2d(
-        _annulus_integrand(n),
-        n,
-        region,
-        box_hi=u_max,
-        rel_tol=rel_tol,
-        max_cells=max_cells,
-        truncation_bound=tail,
-        scale=TWO_PI_SQ,
-    )
+    _check_tol(rel_tol)
+
+    def level_density(ell, rows):
+        """int_0^inf sigma(-psi) / (dL/ds) dd / ell^2 at each level ell."""
+        flat = ell.ravel()
+
+        def slice_density(d, level_rows):
+            _, psi = _level_s(n, flat[level_rows], d)
+            sp = _softplus(psi)
+            return np.exp(-sp) / (2.0 + (n - 1) * np.exp(psi - sp)), 0.0, 0
+
+        inner, inner_err, panels = _gauss_kronrod(
+            slice_density, _d_points(n, flat), _INNER_SHARE * rel_tol, max_cells
+        )
+        weight = 1.0 / (flat * flat)
+        return (inner * weight).reshape(ell.shape), (inner_err * weight).reshape(ell.shape), panels
+
+    band = np.array([[-2.0 * math.exp(k + 1), -2.0 * math.exp(k)]])
+    value, error, panels = _gauss_kronrod(level_density, band, rel_tol, max_cells)
+    # sigma(-psi) = e^{-softplus(psi)} <= e^{-2(d - d*)}, and dL/ds >= 2
+    tail = TWO_PI_SQ * math.exp(-2.0 * _TAIL) * (1.0 - math.exp(-1.0)) / (8.0 * math.exp(k))
+    return _checked(value[0], error[0], panels, TWO_PI_SQ, tail, rel_tol, max_cells)
 
 
 def dominating_integral(n: int, k_max: int, rel_tol: float) -> QuadratureResult:
@@ -335,45 +287,42 @@ def structure_form_l2_norm(
     n: int, eps: float, rel_tol: float, max_cells: int = 400_000
 ) -> QuadratureResult:
     """Squared L^2 norm of the A_n structure form over the ambient ball of
-    radius eps, computed upstairs: (2 pi)^2 (n+1) int exp(2u1+2u2) over
-    {L < 2 log eps}."""
+    radius eps: 2 pi^2 (n+1) int_0^inf e^{2 s*(d)} dd, with s*(d) the
+    level s of L = 2 log eps."""
     if n < 1:
         raise QuadratureRangeError(f"n must be >= 1, got {n}")
     if not 0 < eps <= 0.5:
         raise QuadratureRangeError(f"eps must be in (0, 1/2], got {eps}")
-    if rel_tol < 1e-8:
-        raise QuadratureRangeError("rel_tol must be >= 1e-8")
-    u_max = math.log(eps) / (n + 1)
-    U = u_max - 40.0
-    # integrand <= exp(2u1 + 2u2); the two one-sided tails integrate to
-    # 2 * (e^{2U}/2) * (e^{2 u_max}/2)
-    tail = TWO_PI_SQ * (n + 1) * 0.5 * math.exp(2 * U + 2 * u_max)
-    region = LogPolarRegion(-math.inf, 2.0 * math.log(eps), U)
-    return _adaptive_2d(
-        _volume_integrand(n),
-        n,
-        region,
-        box_hi=u_max,
-        rel_tol=rel_tol,
-        max_cells=max_cells,
-        truncation_bound=tail,
-        scale=TWO_PI_SQ * (n + 1),
+    _check_tol(rel_tol)
+    level = 2.0 * math.log(eps)
+
+    def density(d, rows):
+        s, _ = _level_s(n, level, d)
+        return np.exp(2.0 * s), 0.0, 0
+
+    value, error, panels = _gauss_kronrod(
+        density, _d_points(n, np.array([level])), rel_tol, max_cells
     )
+    scale = 2.0 * math.pi**2 * (n + 1)
+    # e^{2 s*} = eps^2 e^{-softplus(psi)} <= eps^2 e^{-2(d - d*)}
+    tail = scale * eps**2 * math.exp(-2.0 * _TAIL) / 2.0
+    return _checked(value[0], error[0], panels, scale, tail, rel_tol, max_cells)
 
 
 def weighted_graph_norm_defect(n: int, k: int, rel_tol: float) -> QuadratureResult:
     """Certified upper bound 4 I~_k on the squared graph-norm defect
     ||dbar mu_k wedge omega||^2 (the cut-off constant 2, squared)."""
     base = integral_Ik(n, k, rel_tol)
+    weight = GRADIENT_CONSTANT**2
     return QuadratureResult(
-        4.0 * base.value,
-        4.0 * base.error_estimate,
+        weight * base.value,
+        weight * base.error_estimate,
         base.subregions_used,
-        4.0 * base.truncation_bound,
+        weight * base.truncation_bound,
     )
 
 
-# -- Monte Carlo oracle -------------------------------------------------------
+# -- Monte Carlo oracle --------------------------------------------------------
 
 @dataclass(frozen=True)
 class MonteCarloResult:
@@ -385,40 +334,54 @@ class MonteCarloResult:
 def monte_carlo_Ik(
     n: int, k: int, samples: int = 10_000_000, seed: int = 20240823
 ) -> MonteCarloResult:
-    """Plain Monte Carlo estimate of I~_k: uniform sampling of the
-    truncated box, no importance sampling.  Independent cross-check for
-    the adaptive quadrature."""
-    region, u_max, _ = _band_region(n, k)
-    return _monte_carlo(
-        _annulus_integrand(n), n, region, u_max, TWO_PI_SQ, samples, seed
-    )
+    """Plain Monte Carlo estimate of I~_k in the original coordinates
+    u_i = log rho_i: uniform sampling of a box, no importance sampling.
+    Independent cross-check for the level-set quadrature."""
+    log_lo, log_hi = -2.0 * math.exp(k + 1), -2.0 * math.exp(k)
+    # the band forces u_i <= u_max, and u2 >= w_min once u1 is in the far
+    # tail, where the integrand is below exp(2 u1 - 2n u2) / (4 e^{2k}); the
+    # cut at u_i = n w_min - 40 drops less than
+    # (2 pi)^2 e^{-80} (u_max - w_min) / (4 e^{2k})
+    u_max = -math.exp(k) / (n + 1)
+    w_min = -(2.0 * math.exp(k + 1) + math.log(3.0)) / (2 * n + 2)
+
+    def integrand(u1, u2, L):
+        inside = (L > log_lo) & (L < log_hi)
+        return np.exp(2.0 * (u1 + u2) - L) / (L * L) * inside
+
+    return _monte_carlo(integrand, n, n * w_min - 40.0, u_max, TWO_PI_SQ, samples, seed)
 
 
 def monte_carlo_l2_norm(
     n: int, eps: float, samples: int = 2_000_000, seed: int = 20240823
 ) -> MonteCarloResult:
+    """Plain Monte Carlo estimate of the squared structure-form norm in the
+    original coordinates."""
     u_max = math.log(eps) / (n + 1)
-    region = LogPolarRegion(-math.inf, 2.0 * math.log(eps), u_max - 40.0)
+    log_hi = 2.0 * math.log(eps)
+
+    def integrand(u1, u2, L):
+        return np.exp(2.0 * (u1 + u2)) * (L < log_hi)
+
     return _monte_carlo(
-        _volume_integrand(n), n, region, u_max, TWO_PI_SQ * (n + 1), samples, seed
+        integrand, n, u_max - 40.0, u_max, TWO_PI_SQ * (n + 1), samples, seed
     )
 
 
-def _monte_carlo(f, n, region, box_hi, scale, samples, seed):
+def _monte_carlo(f, n, lo, hi, scale, samples, seed):
+    """Uniform samples of the box [lo, hi]^2; f(u1, u2, L) is zero outside
+    the region."""
     rng = np.random.default_rng(seed)
-    lo = region.tail_cut
-    area = (box_hi - lo) ** 2
+    area = (hi - lo) ** 2
     total = 0.0
     total_sq = 0.0
     done = 0
     chunk = 1_000_000
     while done < samples:
         m = min(chunk, samples - done)
-        u1 = rng.uniform(lo, box_hi, m)
-        u2 = rng.uniform(lo, box_hi, m)
-        L = _log_f_squared(n, u1, u2)
-        inside = (L > region.log_lo) & (L < region.log_hi)
-        vals = f(u1, u2) * inside
+        u1 = rng.uniform(lo, hi, m)
+        u2 = rng.uniform(lo, hi, m)
+        vals = f(u1, u2, log_ambient_norm_squared_pullback(n, u1, u2))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += m
@@ -430,38 +393,3 @@ def _monte_carlo(f, n, region, box_hi, scale, samples, seed):
         standard_error=scale * area * std_err,
         samples=samples,
     )
-
-
-# -- 1-D kernel (validated against a closed form on the diagonal slice) -------
-
-def adaptive_1d(f, a: float, b: float, rel_tol: float, max_intervals: int = 100_000):
-    """Adaptive Gauss-Legendre (15/7) bisection on [a, b] for a smooth
-    scalar integrand; returns (value, error_estimate)."""
-    nodes_hi, w_hi = _GAUSS_HI
-    nodes_lo, w_lo = _GAUSS_LO
-
-    def rule(lo, hi):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        v_hi = half * float(np.dot(w_hi, f(mid + half * nodes_hi)))
-        v_lo = half * float(np.dot(w_lo, f(mid + half * nodes_lo)))
-        return v_hi, abs(v_hi - v_lo)
-
-    intervals = [(a, b)]
-    vals_errs = [rule(a, b)]
-    while True:
-        total_val = math.fsum(v for v, _ in vals_errs)
-        total_err = math.fsum(e for _, e in vals_errs)
-        if total_err <= rel_tol * max(abs(total_val), 1e-300):
-            return total_val, total_err
-        if len(intervals) > max_intervals:
-            raise QuadratureBudgetError(
-                "1-D interval budget exhausted",
-                QuadratureResult(max(total_val, 0.0), total_err, len(intervals), 0.0),
-            )
-        worst = max(range(len(intervals)), key=lambda i: vals_errs[i][1])
-        lo, hi = intervals.pop(worst)
-        vals_errs.pop(worst)
-        mid = 0.5 * (lo + hi)
-        intervals += [(lo, mid), (mid, hi)]
-        vals_errs += [rule(lo, mid), rule(mid, hi)]

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -128,3 +129,22 @@ def test_report_serialization():
     text = report.to_text()
     assert "kind: second" in text
     assert "reduced: no" in text
+
+
+def test_numerics_compute_each_integral_once(monkeypatch):
+    calls = []
+    quadrature = importlib.import_module("duval_kind.quadrature")
+    original = quadrature.integral_Ik
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every path to the integral: classify's own name and the one that
+    # weighted_graph_norm_defect looks up
+    for module in ("duval_kind.classify", "duval_kind.quadrature"):
+        monkeypatch.setattr(importlib.import_module(module), "integral_Ik", counting)
+    report = classify("A", 2, with_numerics=True)
+    assert len(calls) == 3
+    for row in report.numerical_evidence:
+        assert row.defect_bound == 4.0 * row.integral

@@ -143,3 +143,19 @@ def test_byte_identical_repeat_runs(capsys):
     _, c1, _ = run_cli(capsys, "classify", "E", "6", "--format", "structured")
     _, c2, _ = run_cli(capsys, "classify", "E", "6", "--format", "structured")
     assert c1 == c2
+
+
+def test_integral_table_rejects_non_finite_tol(capsys):
+    for tol in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "integral-table", "--n", "1", "--tol", tol)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "rel_tol" in err
+
+
+def test_fundamental_cycle_graph_is_directory(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "fundamental-cycle", "--graph", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err

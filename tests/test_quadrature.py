@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from duval_kind.quadrature import (
+    _WG,
+    _WK,
+    _XK,
+    QuadratureBudgetError,
     QuadratureRangeError,
+    _level_s,
     adaptive_1d,
     dominating_integral,
     integral_Ik,
@@ -166,3 +171,72 @@ def test_single_worker_determinism():
     a = integral_Ik(1, 2, 1e-4)
     b = integral_Ik(1, 2, 1e-4)
     assert a == b
+
+
+def test_gauss_kronrod_rule_degrees():
+    # K15 integrates x^j exactly on [-1, 1] for j <= 22 and G7 for j <= 13,
+    # which the hard-coded QUADPACK constants must reproduce
+    gauss_nodes = _XK[1::2]
+    for j in range(24):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        if j <= 22:
+            assert abs(_XK**j @ _WK - exact) <= 1e-15
+        if j <= 13:
+            assert abs(gauss_nodes**j @ _WG - exact) <= 1e-15
+    assert abs(gauss_nodes**14 @ _WG - 2.0 / 15) > 1e-6
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerance_rejected(tol):
+    with pytest.raises(QuadratureRangeError):
+        integral_Ik(1, 1, tol)
+    with pytest.raises(QuadratureRangeError):
+        structure_form_l2_norm(1, 0.1, tol)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2, 0.1, 0.5])
+def test_structure_form_l2_norm_closed_form_n1(eps):
+    exact = 2.0 * math.pi**3 * eps**2 / (3.0 * math.sqrt(3.0))
+    got = structure_form_l2_norm(1, eps, 1e-4)
+    assert abs(got.value - exact) <= got.error_estimate + got.truncation_bound
+    assert got.error_estimate <= 1e-4 * got.value
+
+
+def test_structure_form_l2_norm_small_radii():
+    results = {
+        (n, eps): structure_form_l2_norm(n, eps, 1e-4)
+        for n, eps in ((3, 0.01), (3, 0.02), (2, 0.001))
+    }
+    for res in results.values():
+        assert 0 < res.value < math.inf
+        assert res.error_estimate <= 1e-4 * res.value
+    assert results[3, 0.01].value < results[3, 0.02].value
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integral_Ik(2, 1, 1e-8, max_cells=50),
+        lambda: structure_form_l2_norm(3, 0.01, 1e-8, max_cells=5),
+    ],
+)
+def test_budget_exhaustion_carries_finite_partial(call):
+    with pytest.raises(QuadratureBudgetError) as info:
+        call()
+    partial = info.value.partial
+    assert 0 < partial.value < math.inf
+    assert math.isfinite(partial.error_estimate)
+    assert partial.error_estimate > 1e-8 * partial.value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_level_s_solves_the_level_equation(n):
+    # 2s + softplus(psi) = ell with psi = (n-1)s + log 2cosh((n+1)d), from
+    # the corner region to far beyond d* = (n-1)|ell| / (2(n+1))
+    ell = np.array([-0.5, -2.0, -30.0, -300.0])[:, None]
+    d = np.linspace(0.0, 200.0, 401)[None, :]
+    s, psi = _level_s(n, ell, d)
+    log_2cosh = np.logaddexp((n + 1) * d, -(n + 1) * d)
+    assert np.allclose(psi, (n - 1) * s + log_2cosh, rtol=0.0, atol=1e-12 * (1 + np.abs(psi)).max())
+    residual = 2.0 * s + np.logaddexp(0.0, psi) - ell
+    assert np.all(np.abs(residual) <= 1e-13 * (np.abs(ell) + (n + 1) * np.abs(s) + 1.0))

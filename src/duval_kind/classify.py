@@ -14,14 +14,8 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .cycles import Cycle, fundamental_cycle, is_reduced
-from .dual_graph import (
-    DualGraph,
-    ParameterError,
-    build_dynkin,
-    intersection_form,
-    is_negative_definite,
-)
+from .cycles import Cycle, CycleError, fundamental_cycle, is_reduced
+from .dual_graph import DualGraph, ParameterError, build_dynkin
 from .cutoff import GRADIENT_CONSTANT
 from .quadrature import integral_Ik, weighted_graph_norm_defect  # noqa: F401 (re-exported)
 
@@ -162,11 +156,13 @@ def classify_graph(g: DualGraph, label: str = "user graph") -> ClassificationRep
 
     Graphs that are not du Val (some self-intersection != -2) still get
     their cycle and reducedness, but no kind verdict: the dichotomy is
-    only proved for canonical Gorenstein singularities.
+    only proved for canonical Gorenstein singularities.  Raises
+    ParameterError if the intersection form is not negative definite.
     """
-    if not is_negative_definite(intersection_form(g)):
-        raise ParameterError("graph is not negative definite")
-    z = fundamental_cycle(g)
+    try:
+        z = fundamental_cycle(g)
+    except CycleError as exc:
+        raise ParameterError("graph is not negative definite") from exc
     reduced = is_reduced(z)
     if g.is_all_minus_two():
         kind = Kind.FIRST if reduced else Kind.SECOND
@@ -183,8 +179,3 @@ def classify_graph(g: DualGraph, label: str = "user graph") -> ClassificationRep
         kxs_formula=formula,
     )
 
-
-def classify_graph_dict(doc: dict, label: str = "user graph") -> ClassificationReport:
-    from .dual_graph import graph_from_dict
-
-    return classify_graph(graph_from_dict(doc), label=label)

@@ -61,24 +61,26 @@ def fundamental_cycle(g: DualGraph, rng: random.Random | None = None) -> Cycle:
     """Minimal cycle Z > 0 with Z . E_i <= 0 for all i (Laufer algorithm).
 
     Starts from the all-ones cycle and repeatedly increments a vertex
-    pairing positively against the current cycle.  Ties are broken by
-    smallest index, or uniformly at random when rng is given (the result
-    is provably independent of the choice).
+    pairing positively against the current cycle; the pairings Z . E_i are
+    updated by one row of the form per increment (Laufer, Amer. J. Math.
+    94, 1972), so each step costs O(n).  Ties are broken by smallest
+    index, or uniformly at random when rng is given (the result is
+    provably independent of the choice).
     """
     form = intersection_form(g)
     if not is_negative_definite(form):
         raise CycleError("intersection form is not negative definite")
+    m = form.matrix
     coeffs = [1] * g.vertex_count
+    # pairing[i] = Z . E_i = sum_j z_j m_ji, kept current after each increment
+    pairing = [sum(row) for row in m]  # m is symmetric
     while True:
-        violating = [
-            i
-            for i in range(g.vertex_count)
-            if sum(c * form.entry(j, i) for j, c in enumerate(coeffs)) > 0
-        ]
+        violating = [i for i, p in enumerate(pairing) if p > 0]
         if not violating:
             return Cycle(tuple(coeffs))
         i = violating[0] if rng is None else rng.choice(violating)
         coeffs[i] += 1
+        pairing = [p + e for p, e in zip(pairing, m[i])]
 
 
 def brute_force_fundamental_cycle(g: DualGraph, coeff_bound: int) -> Cycle:

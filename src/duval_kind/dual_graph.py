@@ -2,14 +2,15 @@
 
 Vertices are exceptional curves carrying self-intersection numbers,
 edges carry intersection multiplicities.  Negative definiteness is
-certified in exact integer arithmetic via leading principal minors.
+certified in exact integer arithmetic via the signs of the leading
+principal minors, which one fraction-free Bareiss sweep without pivoting
+yields as its pivots: O(n^3) integer operations, every division exact.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 
@@ -87,15 +88,6 @@ class DualGraph:
                     stack.append(w)
         return len(seen) == n
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
-
     def is_all_minus_two(self) -> bool:
         return all(w == -2 for w in self.self_intersections)
 
@@ -168,36 +160,31 @@ def intersection_form(g: DualGraph) -> IntersectionForm:
 
 
 def leading_minor_determinants(form: IntersectionForm) -> list[int]:
-    """Exact determinants of the k x k leading principal minors, k=1..n.
+    """Exact determinants of the k x k leading principal minors, k = 1, 2, ...
 
-    Fraction-free Gaussian elimination over the rationals; all
-    arithmetic exact.
+    One fraction-free Bareiss sweep without pivoting (Bareiss, Math. Comp.
+    22, 1968): the k-th pivot is the k-th leading minor, and every division
+    in the update is exact, so all arithmetic stays in integers and the
+    sweep costs O(n^3).  The list stops after the first zero minor, because
+    without pivoting no pivot exists beyond it; it has form.size entries
+    iff every leading minor is nonzero.
     """
-    return [
-        _exact_determinant([row[: k + 1] for row in form.matrix[: k + 1]])
-        for k in range(form.size)
-    ]
-
-
-def _exact_determinant(m: list) -> int:
-    n = len(m)
-    a = [[Fraction(v) for v in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / inv
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    assert det.denominator == 1
-    return int(det)
+    minors: list[int] = []
+    a = [list(row) for row in form.matrix]
+    prev = 1
+    while a:
+        pivot_row = a[0]
+        pivot = pivot_row[0]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        # Bareiss update of the trailing block; prev divides every numerator
+        a = [
+            [(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], pivot_row[1:])]
+            for row in a[1:]
+        ]
+        prev = pivot
+    return minors
 
 
 def determinant_cofactor(form: IntersectionForm) -> int:
@@ -229,10 +216,10 @@ def determinant_cofactor(form: IntersectionForm) -> int:
 
 def is_negative_definite(form: IntersectionForm) -> bool:
     """True iff (-1)^k (k-th leading principal minor) > 0 for all k."""
-    for k, det in enumerate(leading_minor_determinants(form), start=1):
-        if (det if k % 2 == 0 else -det) <= 0:
-            return False
-    return True
+    minors = leading_minor_determinants(form)
+    return len(minors) == form.size and all(
+        (det if k % 2 == 0 else -det) > 0 for k, det in enumerate(minors, start=1)
+    )
 
 
 # -- graph file format --------------------------------------------------------
@@ -250,27 +237,48 @@ def graph_to_dict(g: DualGraph) -> dict:
     }
 
 
-def graph_from_dict(doc: dict) -> DualGraph:
-    if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
+def _int_field(obj: dict, key: str, where: str, default: int | None = None) -> int:
+    value = obj.get(key, default)
+    if value is None:
+        raise GraphInvariantError("field_present", f"{where} has no {key!r}")
+    if type(value) is not int:  # rejects bool, float and str
         raise GraphInvariantError(
-            "document_shape", "expected object with 'vertices' and 'edges'"
+            "field_integer", f"{where} has {key!r} = {value!r}, expected an integer"
+        )
+    return value
+
+
+def graph_from_dict(doc: dict) -> DualGraph:
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("vertices"), list)
+        and isinstance(doc.get("edges"), list)
+    ):
+        raise GraphInvariantError(
+            "document_shape", "expected object with 'vertices' and 'edges' lists"
         )
     vertices = doc["vertices"]
-    ids = [v.get("id") for v in vertices]
+    for k, v in enumerate(vertices):
+        if not isinstance(v, dict):
+            raise GraphInvariantError("vertex_object", f"vertex entry {k} is {v!r}")
+    ids = [_int_field(v, "id", f"vertex entry {k}") for k, v in enumerate(vertices)]
     if sorted(ids) != list(range(len(vertices))):
         raise GraphInvariantError(
             "vertex_ids_contiguous", f"ids must be 0..{len(vertices) - 1}, got {ids}"
         )
     weights = [0] * len(vertices)
-    for v in vertices:
-        weights[v["id"]] = v["self_intersection"]
+    for i, v in zip(ids, vertices):
+        weights[i] = _int_field(v, "self_intersection", f"vertex {i}")
     edges = {}
-    for e in doc["edges"]:
-        a, b = e["a"], e["b"]
+    for k, e in enumerate(doc["edges"]):
+        if not isinstance(e, dict):
+            raise GraphInvariantError("edge_object", f"edge entry {k} is {e!r}")
+        where = f"edge entry {k}"
+        a, b = _int_field(e, "a", where), _int_field(e, "b", where)
         key = (min(a, b), max(a, b))
         if key in edges:
             raise GraphInvariantError("edge_unique", f"duplicate edge {key}")
-        edges[key] = e.get("multiplicity", 1)
+        edges[key] = _int_field(e, "multiplicity", where, default=1)
     return DualGraph(len(vertices), tuple(weights), edges)
 
 
@@ -278,7 +286,8 @@ def load_graph(path: str) -> DualGraph:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            # not JSON, not UTF-8, or nested deeper than json can recurse
             raise GraphInvariantError("json_syntax", str(exc)) from exc
     return graph_from_dict(doc)
 

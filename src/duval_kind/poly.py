@@ -176,7 +176,10 @@ def parse_polynomial(text: str) -> Polynomial3:
             j += 1
         if j == start:
             raise PolynomialParseError("expected integer", start)
-        return int(s[start:j]), j
+        try:
+            return int(s[start:j]), j
+        except ValueError:  # too many digits for int(), or a non-ASCII digit
+            raise PolynomialParseError("invalid integer", start) from None
 
     result = Polynomial3.zero()
     i = skip_ws(i)
@@ -211,14 +214,17 @@ def parse_polynomial(text: str) -> Polynomial3:
                     raise PolynomialParseError("expected variable after '*'", i)
             if i < n and s[i] in "xyz":
                 vi = VARIABLES.index(s[i])
+                at = i
                 i += 1
                 power = 1
                 j = skip_ws(i)
                 if j < n and s[j] == "^":
-                    j = skip_ws(j + 1)
+                    at = j = skip_ws(j + 1)
                     power, j = parse_int(j)
                     i = j
                 exps[vi] += power
+                if exps[vi] > MAX_EXPONENT:
+                    raise PolynomialParseError(f"exponent exceeds {MAX_EXPONENT}", at)
                 saw_factor = True
             else:
                 break

@@ -106,6 +106,12 @@ def test_non_duval_graph_gets_no_verdict():
     assert len(report.fundamental_cycle.coefficients) == 3
 
 
+def test_non_definite_graph_is_parameter_error():
+    g = DualGraph(2, (-1, -1), {(0, 1): 1})  # det = 0
+    with pytest.raises(ParameterError, match="not negative definite"):
+        classify_graph(g)
+
+
 def test_graph_roundtrip_matches_classify():
     for type_, n in [("A", 4), ("D", 5), ("E", 6)]:
         direct = classify(type_, n)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from duval_kind.cli import (
     EXIT_NOT_NEGATIVE_DEFINITE,
     EXIT_OK,
@@ -87,6 +89,8 @@ def test_fundamental_cycle_not_negative_definite(capsys, tmp_path):
     )
     code, out, err = run_cli(capsys, "fundamental-cycle", "--graph", str(path))
     assert code == EXIT_NOT_NEGATIVE_DEFINITE
+    assert out == ""
+    assert "not negative definite" in err
 
 
 def test_integral_table_csv(capsys):
@@ -159,3 +163,36 @@ def test_fundamental_cycle_graph_is_directory(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+TWO_VERTICES = [{"id": 0, "self_intersection": -2}, {"id": 1, "self_intersection": -2}]
+MALFORMED_GRAPHS = {
+    "vertex-without-self-intersection": {
+        "vertices": [TWO_VERTICES[0], {"id": 1}],
+        "edges": [{"a": 0, "b": 1}],
+    },
+    "self-intersection-abc": {
+        "vertices": [TWO_VERTICES[0], {"id": 1, "self_intersection": "abc"}],
+        "edges": [{"a": 0, "b": 1}],
+    },
+    "edge-without-b": {"vertices": TWO_VERTICES, "edges": [{"a": 0}]},
+    "vertex-as-bare-int": {"vertices": [0, 1], "edges": [{"a": 0, "b": 1}]},
+}
+
+
+@pytest.mark.parametrize(
+    "case", [*MALFORMED_GRAPHS, "graph-is-directory", "exponent-overflow"]
+)
+def test_malformed_input_exits_2(capsys, tmp_path, case):
+    if case == "exponent-overflow":
+        argv = ["residue", "--equation", "x^99999999"]
+    else:
+        path = tmp_path
+        if case in MALFORMED_GRAPHS:
+            path = tmp_path / "graph.json"
+            path.write_text(json.dumps(MALFORMED_GRAPHS[case]))
+        argv = ["fundamental-cycle", "--graph", str(path)]
+    code, out, err = run_cli(capsys, *argv)  # an exception fails the test
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:")

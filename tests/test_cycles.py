@@ -11,7 +11,12 @@ from duval_kind.cycles import (
     fundamental_cycle,
     is_reduced,
 )
-from duval_kind.dual_graph import DualGraph, build_dynkin, intersection_form
+from duval_kind.dual_graph import (
+    DualGraph,
+    build_dynkin,
+    intersection_form,
+    is_negative_definite,
+)
 
 SMALL_ADE = (
     [("A", n) for n in range(1, 9)]
@@ -45,6 +50,25 @@ def test_e8_cycle_matches_oracle():
 def test_laufer_equals_brute_force(type_, n):
     g = build_dynkin(type_, n)
     assert fundamental_cycle(g) == brute_force_fundamental_cycle(g, 8)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_laufer_equals_brute_force_on_weighted_trees(seed):
+    # definite trees with weights in -1..-4; the box [1, max(Z) + 1]^n holds
+    # vectors above and below Laufer's cycle, so the oracle can disagree
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 15:
+        size = rng.randint(1, 7)
+        edges = {(rng.randrange(v), v): 1 for v in range(1, size)}
+        weights = tuple(rng.choice((-1, -2, -2, -2, -3, -4)) for _ in range(size))
+        g = DualGraph(size, weights, edges)
+        if not is_negative_definite(intersection_form(g)):
+            continue
+        z = fundamental_cycle(g)
+        assert z == brute_force_fundamental_cycle(g, max(z.coefficients) + 1)
+        assert fundamental_cycle(g, rng=random.Random(seed)) == z
+        checked += 1
 
 
 @pytest.mark.parametrize("type_,n", SMALL_ADE)

@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
 from duval_kind.dual_graph import (
     DualGraph,
     GraphInvariantError,
+    IntersectionForm,
     ParameterError,
     build_dynkin,
     determinant_cofactor,
@@ -88,9 +90,87 @@ def test_dynkin_graphs_are_trees(type_, n):
 
 
 def test_zero_matrix_not_definite():
-    from duval_kind.dual_graph import IntersectionForm
-
     assert not is_negative_definite(IntersectionForm(((0,),)))
+
+
+# -- Bareiss elimination against the cofactor oracle ---------------------------
+
+def cofactor_leading_minors(form):
+    """Leading minors by cofactor expansion, up to and including the first zero."""
+    minors = []
+    for k in range(1, form.size + 1):
+        block = IntersectionForm(tuple(row[:k] for row in form.matrix[:k]))
+        minors.append(determinant_cofactor(block))
+        if minors[-1] == 0:
+            break
+    return minors
+
+
+def random_weighted_graph(rng, n):
+    """Random spanning tree plus extra edges (closing cycles), multiplicities 1..3."""
+    edges = {(rng.randrange(v), v): rng.randint(1, 3) for v in range(1, n)}
+    for _ in range(rng.randint(0, n) if n > 1 else 0):
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.setdefault((a, b), rng.randint(1, 3))
+    weights = tuple(rng.randint(-6, -1) for _ in range(n))
+    return DualGraph(n, weights, edges)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bareiss_minors_match_cofactor_on_random_graphs(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        form = intersection_form(random_weighted_graph(rng, rng.randint(1, 9)))
+        minors = leading_minor_determinants(form)
+        assert minors == cofactor_leading_minors(form)
+        signs_ok = all((-1) ** k * det > 0 for k, det in enumerate(minors, start=1))
+        assert is_negative_definite(form) == (len(minors) == form.size and signs_ok)
+
+
+def cycle_form(n):
+    """Affine A~_{n-1}: an n-cycle of (-2)-curves."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = -2
+        m[i][(i + 1) % n] = m[(i + 1) % n][i] = 1
+    return IntersectionForm(tuple(map(tuple, m)))
+
+
+@pytest.mark.parametrize(
+    "matrix,expected",
+    [
+        (((-1, 1), (1, -1)), [-1, 0]),
+        # zero second minor: the sweep stops before the third vertex
+        (((-1, 1, 0), (1, -1, 1), (0, 1, -2)), [-1, 0]),
+        (cycle_form(4).matrix, [-2, 3, -4, 0]),  # affine A~3
+        # affine D~4, centre first
+        (
+            ((-2, 1, 1, 1, 1), (1, -2, 0, 0, 0), (1, 0, -2, 0, 0),
+             (1, 0, 0, -2, 0), (1, 0, 0, 0, -2)),
+            [-2, 3, -4, 4, 0],
+        ),
+        (((-2, 3), (3, -2)), [-2, -5]),  # indefinite, no zero minor
+        (((1,),), [1]),
+    ],
+)
+def test_bareiss_stops_at_zero_minor_and_rejects_indefinite(matrix, expected):
+    form = IntersectionForm(matrix)
+    assert leading_minor_determinants(form) == expected
+    assert cofactor_leading_minors(form) == expected
+    assert not is_negative_definite(form)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_bareiss_on_large_a_and_d(n):
+    # A_n: the k-th leading block is A_k.  D_n: the first n-1 vertices form
+    # A_{n-1}, the full graph has |det| = 4.
+    a_minors = leading_minor_determinants(intersection_form(build_dynkin("A", n)))
+    assert a_minors == [(-1) ** k * (k + 1) for k in range(1, n + 1)]
+    d_form = intersection_form(build_dynkin("D", n))
+    d_minors = leading_minor_determinants(d_form)
+    assert d_minors == a_minors[: n - 1] + [(-1) ** n * 4]
+    assert is_negative_definite(d_form)
+    assert is_negative_definite(intersection_form(build_dynkin("A", n)))
 
 
 def test_positive_diagonal_rejected_by_graph_invariant():
@@ -146,9 +226,51 @@ def test_loader_rejects_bad_ids():
     assert info.value.invariant == "vertex_ids_contiguous"
 
 
+@pytest.mark.parametrize(
+    "doc,invariant",
+    [
+        ({"vertices": {}, "edges": []}, "document_shape"),
+        ({"vertices": [0], "edges": []}, "vertex_object"),
+        ({"vertices": [{"self_intersection": -2}], "edges": []}, "field_present"),
+        ({"vertices": [{"id": 0}], "edges": []}, "field_present"),
+        ({"vertices": [{"id": 0, "self_intersection": "abc"}], "edges": []}, "field_integer"),
+        ({"vertices": [{"id": 0, "self_intersection": -2.5}], "edges": []}, "field_integer"),
+        ({"vertices": [{"id": True, "self_intersection": -2}], "edges": []}, "field_integer"),
+        ({"vertices": [{"id": "0", "self_intersection": -2}], "edges": []}, "field_integer"),
+        ({"vertices": [{"id": 0, "self_intersection": -2}], "edges": [[0, 1]]}, "edge_object"),
+        ({"vertices": [{"id": 0, "self_intersection": -2}], "edges": [{"a": 0}]}, "field_present"),
+        ({"vertices": [{"id": 0, "self_intersection": -2}], "edges": [{"b": 0}]}, "field_present"),
+        (
+            {"vertices": [{"id": 0, "self_intersection": -2}], "edges": [{"a": 0, "b": "1"}]},
+            "field_integer",
+        ),
+        (
+            {
+                "vertices": [{"id": 0, "self_intersection": -2}],
+                "edges": [{"a": 0, "b": 1, "multiplicity": "x"}],
+            },
+            "field_integer",
+        ),
+    ],
+)
+def test_loader_rejects_malformed_entries(doc, invariant):
+    with pytest.raises(GraphInvariantError) as info:
+        graph_from_dict(doc)
+    assert info.value.invariant == invariant
+
+
 def test_loader_rejects_bad_json(tmp_path):
     path = tmp_path / "syntax.json"
     path.write_text("{not json")
+    with pytest.raises(GraphInvariantError) as info:
+        load_graph(str(path))
+    assert info.value.invariant == "json_syntax"
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000], ids=["not-utf8", "deep"])
+def test_loader_rejects_undecodable_json(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
     with pytest.raises(GraphInvariantError) as info:
         load_graph(str(path))
     assert info.value.invariant == "json_syntax"

@@ -80,6 +80,35 @@ def test_parse_error_position():
     assert info.value.position == 2
 
 
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("x^2 + y^99999999", 8),  # the exponent's first digit
+        ("x^40000*x^40000", 10),  # the sum of a variable's exponents counts
+        ("x^65536*x", 8),
+        ("x^" + "9" * 5000, 2),  # beyond the interpreter's digit limit
+        ("9" * 5000, 0),
+        ("x^\u00b2", 2),  # superscript two passes str.isdigit, not int()
+    ],
+    ids=[
+        "exponent",
+        "exponent-sum",
+        "variable-after-max",
+        "long-exponent",
+        "long-coefficient",
+        "superscript-digit",
+    ],
+)
+def test_oversized_numbers_are_positioned_parse_errors(text, position):
+    with pytest.raises(PolynomialParseError) as info:
+        parse_polynomial(text)
+    assert info.value.position == position
+
+
+def test_largest_exponent_parses():
+    assert dict(parse_polynomial("x^65535*x").terms) == {(65536, 0, 0): 1}
+
+
 def test_str_roundtrip():
     for text in ["z^3 - x*y", "x^2 + y^2*z + z^3", "-2*x + 7"]:
         p = parse_polynomial(text)

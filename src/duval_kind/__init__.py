@@ -2,7 +2,7 @@
 certification of the A-series structure form."""
 
 from .classify import ClassificationReport, Kind, classify, classify_graph
-from .cycles import Cycle, brute_force_fundamental_cycle, fundamental_cycle, is_reduced
+from .cycles import Cycle, fundamental_cycle, is_reduced
 from .cutoff import Annulus, CutoffProfile, annulus, mu, mu_from_log_norm
 from .dual_graph import (
     DualGraph,

@@ -8,6 +8,7 @@ diagnostics to stderr.  Repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .classify import classify
@@ -40,6 +41,7 @@ class SystemExit2(Exception):
         super().__init__(message)
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="duval-kind", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,30 +1,21 @@
 """Fundamental cycles on negative-definite dual graphs.
 
-Laufer's incremental algorithm starting from the all-ones cycle, an
-exhaustive brute-force oracle, and the reducedness test Z = |Z|.
+Laufer's incremental algorithm starting from the all-ones cycle, and the
+reducedness test Z = |Z|.  Each increment updates the pairing of the
+incremented vertex and of its neighbours only, so it costs O(deg).
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dual_graph import DualGraph, IntersectionForm, intersection_form, is_negative_definite
 
 
 class CycleError(ValueError):
     pass
-
-
-class BoundTooSmallError(CycleError):
-    """Brute-force search found no anti-nef cycle within the bound."""
-
-
-class NonUniqueMinimumError(CycleError):
-    """Componentwise minimum of the anti-nef candidates is not itself a
-    candidate; would indicate an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -61,54 +52,35 @@ def fundamental_cycle(g: DualGraph, rng: random.Random | None = None) -> Cycle:
     """Minimal cycle Z > 0 with Z . E_i <= 0 for all i (Laufer algorithm).
 
     Starts from the all-ones cycle and repeatedly increments a vertex
-    pairing positively against the current cycle; the pairings Z . E_i are
-    updated by one row of the form per increment (Laufer, Amer. J. Math.
-    94, 1972), so each step costs O(n).  Ties are broken by smallest
+    pairing positively against the current cycle (Laufer, Amer. J. Math.
+    94, 1972).  Incrementing z_i changes Z . E_i by the self-intersection
+    of E_i and Z . E_j by the multiplicity of each edge ij, so only i and
+    its neighbours are updated: each step costs O(deg i) plus a bisection
+    in the sorted list of violating vertices.  Ties are broken by smallest
     index, or uniformly at random when rng is given (the result is
     provably independent of the choice).
     """
     form = intersection_form(g)
     if not is_negative_definite(form):
         raise CycleError("intersection form is not negative definite")
-    m = form.matrix
+    weights = g.self_intersections
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in weights]
+    for (a, b), mult in g.edges.items():
+        neighbours[a].append((b, mult))
+        neighbours[b].append((a, mult))
     coeffs = [1] * g.vertex_count
-    # pairing[i] = Z . E_i = sum_j z_j m_ji, kept current after each increment
-    pairing = [sum(row) for row in m]  # m is symmetric
-    while True:
-        violating = [i for i, p in enumerate(pairing) if p > 0]
-        if not violating:
-            return Cycle(tuple(coeffs))
+    # pairing[i] = Z . E_i, kept current after each increment
+    pairing = [w + sum(m for _, m in nbrs) for w, nbrs in zip(weights, neighbours)]
+    violating = [i for i, p in enumerate(pairing) if p > 0]  # kept sorted
+    while violating:
         i = violating[0] if rng is None else rng.choice(violating)
         coeffs[i] += 1
-        pairing = [p + e for p, e in zip(pairing, m[i])]
-
-
-def brute_force_fundamental_cycle(g: DualGraph, coeff_bound: int) -> Cycle:
-    """Exhaustive oracle: enumerate [1, bound]^n, keep anti-nef vectors,
-    return the unique componentwise-minimal one."""
-    if coeff_bound < 1:
-        raise CycleError("coeff_bound must be >= 1")
-    form = intersection_form(g)
-    n = g.vertex_count
-    M = np.array(form.matrix, dtype=np.int64)
-    total = coeff_bound**n
-    candidates: list[tuple[int, ...]] = []
-    chunk = 1 << 21
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        vecs = np.empty((len(idx), n), dtype=np.int64)
-        for j in range(n - 1, -1, -1):
-            vecs[:, j] = idx % coeff_bound + 1
-            idx //= coeff_bound
-        antinef = (vecs @ M <= 0).all(axis=1)
-        candidates.extend(map(tuple, vecs[antinef]))
-    if not candidates:
-        raise BoundTooSmallError(
-            f"no anti-nef cycle with coefficients in [1, {coeff_bound}]"
-        )
-    minimum = tuple(min(vals) for vals in zip(*candidates))
-    if minimum not in candidates:
-        raise NonUniqueMinimumError(
-            "componentwise minimum is not itself anti-nef"
-        )
-    return Cycle(minimum)
+        # weights are <= -1: the pairing of i falls, those of its neighbours rise
+        pairing[i] += weights[i]
+        if pairing[i] <= 0:
+            del violating[bisect.bisect_left(violating, i)]
+        for j, mult in neighbours[i]:
+            if pairing[j] <= 0 < pairing[j] + mult:
+                bisect.insort(violating, j)
+            pairing[j] += mult
+    return Cycle(tuple(coeffs))

@@ -22,10 +22,9 @@ from duval_kind.cutoff import (
     mu_derivative_log_norm,
     mu_from_log_norm,
 )
-from duval_kind.cycles import brute_force_fundamental_cycle, fundamental_cycle, is_reduced
+from duval_kind.cycles import fundamental_cycle, is_reduced
 from duval_kind.dual_graph import (
     build_dynkin,
-    determinant_cofactor,
     graph_from_dict,
     graph_to_dict,
     intersection_form,
@@ -41,6 +40,7 @@ from duval_kind.quadrature import (
     monte_carlo_l2_norm,
     structure_form_l2_norm,
 )
+from oracles import brute_force_fundamental_cycle, determinant_cofactor
 
 mp.mp.dps = 30
 

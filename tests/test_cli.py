@@ -177,15 +177,24 @@ MALFORMED_GRAPHS = {
     },
     "edge-without-b": {"vertices": TWO_VERTICES, "edges": [{"a": 0}]},
     "vertex-as-bare-int": {"vertices": [0, 1], "edges": [{"a": 0, "b": 1}]},
+    "path-of-1001-vertices": {
+        "vertices": [{"id": i, "self_intersection": -2} for i in range(1001)],
+        "edges": [{"a": i, "b": i + 1} for i in range(1000)],
+    },
+}
+MALFORMED_ARGV = {
+    "exponent-overflow": ["residue", "--equation", "x^99999999"],
+    "classify-index-1001": ["classify", "A", "1001"],
+    "fundamental-cycle-index-5000": ["fundamental-cycle", "D", "5000"],
 }
 
 
 @pytest.mark.parametrize(
-    "case", [*MALFORMED_GRAPHS, "graph-is-directory", "exponent-overflow"]
+    "case", [*MALFORMED_GRAPHS, "graph-is-directory", *MALFORMED_ARGV]
 )
 def test_malformed_input_exits_2(capsys, tmp_path, case):
-    if case == "exponent-overflow":
-        argv = ["residue", "--equation", "x^99999999"]
+    if case in MALFORMED_ARGV:
+        argv = MALFORMED_ARGV[case]
     else:
         path = tmp_path
         if case in MALFORMED_GRAPHS:
@@ -196,3 +205,26 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "type_,root",
+    [("A", " ".join(["1"] * 1000)), ("D", " ".join(["1"] + ["2"] * 997 + ["1", "1"]))],
+)
+def test_classify_at_largest_index_prints_highest_root(capsys, type_, root):
+    code, out, err = run_cli(capsys, "classify", type_, "1000")
+    assert code == EXIT_OK
+    assert err == ""
+    assert f"fundamental_cycle: {root}\n" in out
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    malformed = ("classify", "A")  # index missing
+    nan_tol = ("integral-table", "--n", "1", "--tol", "nan")
+    structured = ("classify", "D", "5", "--format", "structured")
+    first_errors = [run_cli(capsys, *argv) for argv in (malformed, nan_tol)]
+    assert [code for code, _, _ in first_errors] == [EXIT_USAGE, EXIT_USAGE]
+    once, twice = run_cli(capsys, *structured), run_cli(capsys, *structured)
+    assert once == twice
+    assert once[0] == EXIT_OK
+    assert [run_cli(capsys, *argv) for argv in (malformed, nan_tol)] == first_errors

@@ -3,10 +3,8 @@ import random
 import pytest
 
 from duval_kind.cycles import (
-    BoundTooSmallError,
     Cycle,
     CycleError,
-    brute_force_fundamental_cycle,
     cycle_pairing,
     fundamental_cycle,
     is_reduced,
@@ -17,6 +15,7 @@ from duval_kind.dual_graph import (
     intersection_form,
     is_negative_definite,
 )
+from oracles import BoundTooSmallError, brute_force_fundamental_cycle
 
 SMALL_ADE = (
     [("A", n) for n in range(1, 9)]

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from duval_kind.dual_graph import (
+    MAX_VERTICES,
     DualGraph,
     GraphInvariantError,
     IntersectionForm,
     ParameterError,
     build_dynkin,
-    determinant_cofactor,
     graph_from_dict,
     graph_to_dict,
     intersection_form,
@@ -18,6 +18,7 @@ from duval_kind.dual_graph import (
     load_graph,
     save_graph,
 )
+from oracles import determinant_cofactor
 
 ADE_CASES = (
     [("A", n) for n in range(1, 13)]
@@ -127,6 +128,42 @@ def test_bareiss_minors_match_cofactor_on_random_graphs(seed):
         assert is_negative_definite(form) == (len(minors) == form.size and signs_ok)
 
 
+def near_boundary_graph(rng, n, extra_edges):
+    """Random spanning tree plus extra_edges extra edges, multiplicities 1..2.
+    Each weight is minus the multiplicities at its vertex, minus 0 or 1, so
+    the form is definite once one vertex gets the extra 1; then up to two
+    vertices are raised by 1..3, which may break definiteness."""
+    edges = {(rng.randrange(v), v): rng.randint(1, 2) for v in range(1, n)}
+    for _ in range(extra_edges):
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.setdefault((a, b), rng.randint(1, 2))
+    weights = [-rng.randint(0, 1) for _ in range(n)]
+    for (a, b), m in edges.items():
+        weights[a] -= m
+        weights[b] -= m
+    for _ in range(rng.randint(0, 2)):
+        v = rng.randrange(n)
+        weights[v] = min(-1, weights[v] + rng.randint(1, 3))
+    return DualGraph(n, tuple(weights), edges)
+
+
+@pytest.mark.parametrize("with_cycles", [False, True], ids=["trees", "cycles"])
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_certificate_matches_bareiss_signs(seed, with_cycles):
+    rng = random.Random(seed)
+    answers = set()
+    for _ in range(25):
+        n = rng.randint(10, 40)
+        extra = rng.randint(1, n // 4) if with_cycles else 0
+        form = intersection_form(near_boundary_graph(rng, n, extra))
+        minors = leading_minor_determinants(form)
+        signs_ok = all((-1) ** k * det > 0 for k, det in enumerate(minors, start=1))
+        definite = len(minors) == form.size and signs_ok
+        assert is_negative_definite(form) == definite
+        answers.add(definite)
+    assert answers == {True, False}
+
+
 def cycle_form(n):
     """Affine A~_{n-1}: an n-cycle of (-2)-curves."""
     m = [[0] * n for _ in range(n)]
@@ -171,6 +208,59 @@ def test_bareiss_on_large_a_and_d(n):
     assert d_minors == a_minors[: n - 1] + [(-1) ** n * 4]
     assert is_negative_definite(d_form)
     assert is_negative_definite(intersection_form(build_dynkin("A", n)))
+
+
+def path_edges(n):
+    return {(i, i + 1): 1 for i in range(n - 1)}
+
+
+def affine_d_graph(n):
+    """Affine D~_{n-1}: a path 2..n-3 with leaves 0, 1 at vertex 2 and
+    leaves n-2, n-1 at vertex n-3."""
+    edges = {(i, i + 1): 1 for i in range(2, n - 3)}
+    edges.update({(0, 2): 1, (1, 2): 1, (n - 3, n - 2): 1, (n - 3, n - 1): 1})
+    return DualGraph(n, (-2,) * n, edges)
+
+
+N = MAX_VERTICES
+SINGULAR_AT_MAX = {
+    # graph, nonzero vector in the kernel of its form
+    "affine-A": (
+        lambda: DualGraph(N, (-2,) * N, {**path_edges(N), (0, N - 1): 1}),
+        (1,) * N,
+    ),
+    "affine-D": (lambda: affine_d_graph(N), (1, 1) + (2,) * (N - 4) + (1, 1)),
+    "chain-minus-one-ends": (
+        lambda: DualGraph(N, (-1,) + (-2,) * (N - 2) + (-1,), path_edges(N)),
+        (1,) * N,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SINGULAR_AT_MAX)
+def test_singular_forms_at_max_vertices_not_definite(case):
+    build, kernel = SINGULAR_AT_MAX[case]
+    form = intersection_form(build())
+    assert all(sum(a * x for a, x in zip(row, kernel)) == 0 for row in form.matrix)
+    assert not is_negative_definite(form)
+
+
+def test_definite_forms_at_max_vertices():
+    assert is_negative_definite(intersection_form(build_dynkin("A", N)))
+    assert is_negative_definite(intersection_form(build_dynkin("D", N)))
+    # (-2, ..., -2, -1) contracts to a smooth point (det = +-1): definite
+    chain = DualGraph(N, (-2,) * (N - 1) + (-1,), path_edges(N))
+    assert is_negative_definite(intersection_form(chain))
+
+
+def test_vertex_count_bounded():
+    with pytest.raises(GraphInvariantError) as info:
+        DualGraph(N + 1, (-2,) * (N + 1), path_edges(N + 1))
+    assert info.value.invariant == "vertex_count_bounded"
+    for type_, n in [("A", N + 1), ("D", 5000), ("A", 10**12)]:
+        with pytest.raises(GraphInvariantError) as info:
+            build_dynkin(type_, n)
+        assert info.value.invariant == "vertex_count_bounded"
 
 
 def test_positive_diagonal_rejected_by_graph_invariant():

@@ -6,9 +6,7 @@ from .cycles import Cycle, fundamental_cycle, is_reduced
 from .cutoff import Annulus, CutoffProfile, annulus, mu, mu_from_log_norm
 from .dual_graph import (
     DualGraph,
-    IntersectionForm,
     build_dynkin,
-    intersection_form,
     is_negative_definite,
     load_graph,
 )

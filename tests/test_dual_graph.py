@@ -7,18 +7,21 @@ from duval_kind.dual_graph import (
     MAX_VERTICES,
     DualGraph,
     GraphInvariantError,
-    IntersectionForm,
     ParameterError,
     build_dynkin,
     graph_from_dict,
     graph_to_dict,
-    intersection_form,
     is_negative_definite,
-    leading_minor_determinants,
     load_graph,
     save_graph,
 )
-from oracles import determinant_cofactor
+from oracles import (
+    IntersectionForm,
+    determinant_cofactor,
+    form_parts,
+    intersection_form,
+    leading_minor_determinants,
+)
 
 ADE_CASES = (
     [("A", n) for n in range(1, 13)]
@@ -74,8 +77,9 @@ def test_intersection_form_d4():
 
 @pytest.mark.parametrize("type_,n", ADE_CASES)
 def test_ade_forms_negative_definite_with_expected_determinant(type_, n):
-    form = intersection_form(build_dynkin(type_, n))
-    assert is_negative_definite(form)
+    g = build_dynkin(type_, n)
+    form = intersection_form(g)
+    assert is_negative_definite(g.self_intersections, g.edges)
     det = leading_minor_determinants(form)[-1]
     assert abs(det) == expected_det(type_, n)
     # independent exact oracle: cofactor expansion
@@ -91,7 +95,7 @@ def test_dynkin_graphs_are_trees(type_, n):
 
 
 def test_zero_matrix_not_definite():
-    assert not is_negative_definite(IntersectionForm(((0,),)))
+    assert not is_negative_definite(*form_parts(((0,),)))
 
 
 # -- Bareiss elimination against the cofactor oracle ---------------------------
@@ -121,11 +125,14 @@ def random_weighted_graph(rng, n):
 def test_bareiss_minors_match_cofactor_on_random_graphs(seed):
     rng = random.Random(seed)
     for _ in range(25):
-        form = intersection_form(random_weighted_graph(rng, rng.randint(1, 9)))
+        g = random_weighted_graph(rng, rng.randint(1, 9))
+        form = intersection_form(g)
         minors = leading_minor_determinants(form)
         assert minors == cofactor_leading_minors(form)
         signs_ok = all((-1) ** k * det > 0 for k, det in enumerate(minors, start=1))
-        assert is_negative_definite(form) == (len(minors) == form.size and signs_ok)
+        assert is_negative_definite(g.self_intersections, g.edges) == (
+            len(minors) == form.size and signs_ok
+        )
 
 
 def near_boundary_graph(rng, n, extra_edges):
@@ -155,11 +162,12 @@ def test_sparse_certificate_matches_bareiss_signs(seed, with_cycles):
     for _ in range(25):
         n = rng.randint(10, 40)
         extra = rng.randint(1, n // 4) if with_cycles else 0
-        form = intersection_form(near_boundary_graph(rng, n, extra))
+        g = near_boundary_graph(rng, n, extra)
+        form = intersection_form(g)
         minors = leading_minor_determinants(form)
         signs_ok = all((-1) ** k * det > 0 for k, det in enumerate(minors, start=1))
         definite = len(minors) == form.size and signs_ok
-        assert is_negative_definite(form) == definite
+        assert is_negative_definite(g.self_intersections, g.edges) == definite
         answers.add(definite)
     assert answers == {True, False}
 
@@ -194,7 +202,7 @@ def test_bareiss_stops_at_zero_minor_and_rejects_indefinite(matrix, expected):
     form = IntersectionForm(matrix)
     assert leading_minor_determinants(form) == expected
     assert cofactor_leading_minors(form) == expected
-    assert not is_negative_definite(form)
+    assert not is_negative_definite(*form_parts(matrix))
 
 
 @pytest.mark.parametrize("n", [100, 200])
@@ -203,11 +211,12 @@ def test_bareiss_on_large_a_and_d(n):
     # A_{n-1}, the full graph has |det| = 4.
     a_minors = leading_minor_determinants(intersection_form(build_dynkin("A", n)))
     assert a_minors == [(-1) ** k * (k + 1) for k in range(1, n + 1)]
-    d_form = intersection_form(build_dynkin("D", n))
-    d_minors = leading_minor_determinants(d_form)
+    d_graph = build_dynkin("D", n)
+    d_minors = leading_minor_determinants(intersection_form(d_graph))
     assert d_minors == a_minors[: n - 1] + [(-1) ** n * 4]
-    assert is_negative_definite(d_form)
-    assert is_negative_definite(intersection_form(build_dynkin("A", n)))
+    assert is_negative_definite(d_graph.self_intersections, d_graph.edges)
+    a_graph = build_dynkin("A", n)
+    assert is_negative_definite(a_graph.self_intersections, a_graph.edges)
 
 
 def path_edges(n):
@@ -240,17 +249,19 @@ SINGULAR_AT_MAX = {
 @pytest.mark.parametrize("case", SINGULAR_AT_MAX)
 def test_singular_forms_at_max_vertices_not_definite(case):
     build, kernel = SINGULAR_AT_MAX[case]
-    form = intersection_form(build())
+    g = build()
+    form = intersection_form(g)
     assert all(sum(a * x for a, x in zip(row, kernel)) == 0 for row in form.matrix)
-    assert not is_negative_definite(form)
+    assert not is_negative_definite(g.self_intersections, g.edges)
 
 
 def test_definite_forms_at_max_vertices():
-    assert is_negative_definite(intersection_form(build_dynkin("A", N)))
-    assert is_negative_definite(intersection_form(build_dynkin("D", N)))
+    a_graph, d_graph = build_dynkin("A", N), build_dynkin("D", N)
+    assert is_negative_definite(a_graph.self_intersections, a_graph.edges)
+    assert is_negative_definite(d_graph.self_intersections, d_graph.edges)
     # (-2, ..., -2, -1) contracts to a smooth point (det = +-1): definite
     chain = DualGraph(N, (-2,) * (N - 1) + (-1,), path_edges(N))
-    assert is_negative_definite(intersection_form(chain))
+    assert is_negative_definite(chain.self_intersections, chain.edges)
 
 
 def test_vertex_count_bounded():

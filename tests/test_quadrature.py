@@ -13,11 +13,10 @@ from duval_kind.quadrature import (
     adaptive_1d,
     dominating_integral,
     integral_Ik,
-    monte_carlo_Ik,
-    monte_carlo_l2_norm,
     structure_form_l2_norm,
     weighted_graph_norm_defect,
 )
+from oracles import monte_carlo_Ik, monte_carlo_l2_norm
 
 # Diagonal-slice drill: on rho1 = rho2 = rho with n = 1 the squared norm
 # is 3 rho^4, and in v = log rho the radial integrand becomes

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cycles import Cycle, CycleError, fundamental_cycle, is_reduced
 from .dual_graph import DualGraph, ParameterError, build_dynkin
 from .cutoff import GRADIENT_CONSTANT
-from .quadrature import integral_Ik, weighted_graph_norm_defect  # noqa: F401 (re-exported)
+from .quadrature import (
+    integral_Ik,
+    weighted_graph_norm_defect,  # noqa: F401 (span point of bench/tracing.py)
+)
 
 FIRST_KIND_FORMULA = "pi_* K_M"
 SECOND_KIND_FORMULA = "pi_*(K_M (x) O(-Z))"
@@ -126,33 +129,20 @@ def _integral_table(n: int, rel_tol: float, k_max: int = 3) -> tuple[IntegralRow
 def classify(
     type_: str, n: int, with_numerics: bool = False, rel_tol: float = 1e-4
 ) -> ClassificationReport:
-    """Kind verdict for the du Val singularity of the given ADE type."""
+    """Kind verdict for the du Val singularity of the given ADE type: the
+    classify_graph verdict on its Dynkin graph, plus the A-series integral
+    table or the D/E note when numerics are asked for."""
     type_ = type_.upper()
-    g = build_dynkin(type_, n)
-    z = fundamental_cycle(g)
-    reduced = is_reduced(z)
-    kind = Kind.FIRST if reduced else Kind.SECOND
-    evidence = None
-    note = None
-    if with_numerics:
-        if type_ == "A":
-            evidence = _integral_table(n, rel_tol)
-        else:
-            note = DE_NUMERICS_NOTE
-    return ClassificationReport(
-        input_label=f"{type_}{n}",
-        dual_graph_summary=_graph_summary(g),
-        fundamental_cycle=z,
-        reduced=reduced,
-        kind=kind,
-        kxs_formula=FIRST_KIND_FORMULA if kind is Kind.FIRST else SECOND_KIND_FORMULA,
-        numerical_evidence=evidence,
-        numerics_note=note,
-    )
+    report = classify_graph(build_dynkin(type_, n), label=f"{type_}{n}")
+    if not with_numerics:
+        return report
+    if type_ == "A":
+        return replace(report, numerical_evidence=_integral_table(n, rel_tol))
+    return replace(report, numerics_note=DE_NUMERICS_NOTE)
 
 
 def classify_graph(g: DualGraph, label: str = "user graph") -> ClassificationReport:
-    """Kind verdict for a user-supplied dual graph.
+    """Kind verdict for a dual graph, from a user's file or build_dynkin.
 
     Graphs that are not du Val (some self-intersection != -2) still get
     their cycle and reducedness, but no kind verdict: the dichotomy is

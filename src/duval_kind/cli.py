@@ -37,8 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class SystemExit2(Exception):
-    def __init__(self, message):
-        super().__init__(message)
+    """A usage error found after parsing; main prints it and exits 2."""
 
 
 @functools.cache  # one parser per process; parse_args keeps no state in it
@@ -127,36 +126,23 @@ def _cmd_cycle(args) -> int:
 def _cmd_table(args) -> int:
     if args.type != "A":
         raise SystemExit2("integral table defined only for the A series")
-    if args.n < 1:
-        raise SystemExit2(f"n must be >= 1, got {args.n}")
-    if not 1 <= args.kmax <= 4:
-        raise SystemExit2(f"kmax must be in 1..4, got {args.kmax}")
-    rows = []
-    for k in range(1, args.kmax + 1):
-        res = integral_Ik(args.n, k, args.tol)
-        rows.append(
-            (
-                k,
-                res.value,
-                res.error_estimate,
-                res.truncation_bound,
-                res.subregions_used,
-            )
-        )
-    if args.format == "csv":
-        print("k,value,error,truncation_bound,subregions")
-        for k, value, err, trunc, regions in rows:
-            print(f"{k},{value:.17e},{err:.17e},{trunc:.17e},{regions}")
-    else:
-        print("k value error truncation_bound subregions")
-        for k, value, err, trunc, regions in rows:
-            print(f"{k} {value:.17e} {err:.17e} {trunc:.17e} {regions}")
+    if args.kmax < 1:  # integral_Ik bounds n and k; this stops a table of no rows
+        raise SystemExit2(f"kmax must be >= 1, got {args.kmax}")
+    rows = [integral_Ik(args.n, k, args.tol) for k in range(1, args.kmax + 1)]
+    sep = "," if args.format == "csv" else " "
+    print(sep.join(("k", "value", "error", "truncation_bound", "subregions")))
+    for k, res in enumerate(rows, start=1):
+        fields = (res.value, res.error_estimate, res.truncation_bound)
+        print(sep.join((str(k), *(f"{x:.17e}" for x in fields), str(res.subregions_used))))
     return EXIT_OK
 
 
 def _cmd_residue(args) -> int:
     if args.equation is not None:
-        f = parse_polynomial(args.equation)
+        try:
+            f = parse_polynomial(args.equation)
+        except PolynomialParseError as exc:  # caret under the offending character
+            raise SystemExit2(f"{exc}\n  {args.equation}\n  {' ' * exc.position}^") from exc
         print(f"f = {f}")
         print(f"df/dz = {differentiate(f, 'z')}")
     elif args.type is not None and args.index is not None:
@@ -176,42 +162,27 @@ _HANDLERS = {
 }
 
 
+# Every error a command can end in, by class; the first class in the
+# exception's method resolution order that has an entry gives the code.
+_EXIT_CODES = {
+    SystemExit2: EXIT_USAGE,
+    PolynomialParseError: EXIT_USAGE,
+    ParameterError: EXIT_USAGE,
+    GraphInvariantError: EXIT_USAGE,
+    QuadratureRangeError: EXIT_USAGE,
+    QuadratureBudgetError: EXIT_BUDGET,
+    CycleError: EXIT_NOT_NEGATIVE_DEFINITE,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except SystemExit2 as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PolynomialParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.position >= 0:
-            # caret aligned under the offending character
-            source = _parse_source(argv)
-            if source is not None:
-                print(f"  {source}", file=sys.stderr)
-                print("  " + " " * exc.position + "^", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParameterError, GraphInvariantError, QuadratureRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_NEGATIVE_DEFINITE
-    except QuadratureBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-
-
-def _parse_source(argv: list[str] | None) -> str | None:
-    args = argv if argv is not None else sys.argv[1:]
-    for i, a in enumerate(args):
-        if a == "--equation" and i + 1 < len(args):
-            return args[i + 1]
-        if a.startswith("--equation="):
-            return a.split("=", 1)[1]
-    return None
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

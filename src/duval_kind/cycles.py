@@ -32,9 +32,6 @@ class Cycle:
             raise CycleError("cycle coefficients must be non-negative")
         object.__setattr__(self, "coefficients", coeffs)
 
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
 
 def is_reduced(z: Cycle) -> bool:
     """True iff every coefficient equals 1."""

@@ -109,33 +109,41 @@ class DualGraph:
         return all(w == -2 for w in self.self_intersections)
 
 
+def ade_type(type_: str, n: int) -> str:
+    """The upper-cased ADE type, or ParameterError when (type_, n) is not
+    A_n (n >= 1), D_n (n >= 4) or E_n (n in {6, 7, 8}).  The one place
+    the ADE ranges are stated."""
+    type_ = type_.upper()
+    if type_ not in ("A", "D", "E"):
+        raise ParameterError(f"unknown type {type_!r}, expected A, D or E")
+    if type_ == "A" and n < 1:
+        raise ParameterError(f"A_n requires n >= 1, got {n}")
+    if type_ == "D" and n < 4:
+        raise ParameterError(f"D_n requires n >= 4, got {n}")
+    if type_ == "E" and n not in (6, 7, 8):
+        raise ParameterError(f"E_n requires n in {{6,7,8}}, got {n}")
+    return type_
+
+
 def build_dynkin(type_: str, n: int) -> DualGraph:
-    """Standard ADE tree, all self-intersections -2, multiplicities 1.
+    """Standard ADE tree, all self-intersections -2, multiplicities 1;
+    ade_type decides which (type_, n) exist.
 
     Numbering: A_n is the path 0-1-...-(n-1); D_n is the path 0-...-(n-3)
     with leaves (n-2) and (n-1) attached to vertex (n-3); E_n is the path
     0-...-(n-2) with leaf (n-1) attached to vertex 2.
     """
-    type_ = type_.upper()
+    type_ = ade_type(type_, n)
+    _check_vertex_bound(n)  # before the O(n) edge dict is built
     if type_ == "A":
-        if n < 1:
-            raise ParameterError(f"A_n requires n >= 1, got {n}")
-        _check_vertex_bound(n)  # before the O(n) edge dict is built
         edges = {(i, i + 1): 1 for i in range(n - 1)}
     elif type_ == "D":
-        if n < 4:
-            raise ParameterError(f"D_n requires n >= 4, got {n}")
-        _check_vertex_bound(n)
         edges = {(i, i + 1): 1 for i in range(n - 3)}
         edges[(n - 3, n - 2)] = 1
         edges[(n - 3, n - 1)] = 1
-    elif type_ == "E":
-        if n not in (6, 7, 8):
-            raise ParameterError(f"E_n requires n in {{6,7,8}}, got {n}")
+    else:
         edges = {(i, i + 1): 1 for i in range(n - 2)}
         edges[(2, n - 1)] = 1
-    else:
-        raise ParameterError(f"unknown type {type_!r}, expected A, D or E")
     return DualGraph(n, (-2,) * n, edges)
 
 

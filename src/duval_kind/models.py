@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_graph import ParameterError
-from .poly import Polynomial3, differentiate, parse_polynomial
+from .dual_graph import ParameterError, ade_type
+from .poly import MAX_EXPONENT, Polynomial3, differentiate, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,7 @@ class CoveringMap:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"covering requires n >= 1, got {self.n}")
-
-    @property
-    def degree(self) -> int:
-        return self.n + 1
+        ade_type("A", self.n)
 
 
 _EQUATIONS = {
@@ -47,22 +42,19 @@ _EQUATIONS = {
 
 
 def duval_equation(type_: str, n: int) -> HypersurfaceGerm:
-    """The standard normal form for the du Val singularity of given type."""
-    type_ = type_.upper()
-    if type_ == "A":
-        if n < 1:
-            raise ParameterError(f"A_n requires n >= 1, got {n}")
-        eq = parse_polynomial(f"z^{n + 1} - x*y")
-    elif type_ == "D":
-        if n < 4:
-            raise ParameterError(f"D_n requires n >= 4, got {n}")
-        eq = parse_polynomial(f"x^2 + y^2*z + z^{n - 1}")
-    elif type_ == "E":
-        if n not in (6, 7, 8):
-            raise ParameterError(f"E_n requires n in {{6,7,8}}, got {n}")
-        eq = parse_polynomial(_EQUATIONS[f"E{n}"])
+    """The standard normal form for the du Val singularity of given type;
+    ade_type decides which (type_, n) exist."""
+    type_ = ade_type(type_, n)
+    if type_ == "E":
+        text = _EQUATIONS[f"E{n}"]
     else:
-        raise ParameterError(f"unknown type {type_!r}, expected A, D or E")
+        z_exponent = n + 1 if type_ == "A" else n - 1
+        if z_exponent > MAX_EXPONENT:
+            raise ParameterError(
+                f"{type_}{n} needs the exponent z^{z_exponent}, above the limit {MAX_EXPONENT}"
+            )
+        text = f"z^{z_exponent} - x*y" if type_ == "A" else f"x^2 + y^2*z + z^{z_exponent}"
+    eq = parse_polynomial(text)
     return HypersurfaceGerm(f"{type_}{n}", eq, differentiate(eq, "z"))
 
 
@@ -76,8 +68,7 @@ def covering_image(
 def ambient_norm_squared_pullback(n: int, rho1: float, rho2: float) -> float:
     """Squared ambient norm of the covering image as a function of the
     moduli rho_i = |s|, |t|: rho1^{2n+2} + rho2^{2n+2} + rho1^2 rho2^2."""
-    if n < 1:
-        raise ParameterError(f"requires n >= 1, got {n}")
+    ade_type("A", n)
     return rho1 ** (2 * n + 2) + rho2 ** (2 * n + 2) + rho1**2 * rho2**2
 
 
@@ -87,8 +78,7 @@ def log_ambient_norm_squared_pullback(n: int, u1, u2):
 
     Accepts scalars or numpy arrays (broadcast elementwise).
     """
-    if n < 1:
-        raise ParameterError(f"requires n >= 1, got {n}")
+    ade_type("A", n)
     a = (2 * n + 2) * np.asarray(u1, dtype=float)
     b = (2 * n + 2) * np.asarray(u2, dtype=float)
     c = 2 * np.asarray(u1, dtype=float) + 2 * np.asarray(u2, dtype=float)
@@ -104,7 +94,7 @@ def pullback_residue_density(n: int) -> float:
     Euclidean volume element of C^2: (n+1)^2 (n=0 means the identity
     covering of a smooth point)."""
     if n < 0:
-        raise ParameterError(f"requires n >= 0, got {n}")
+        raise ParameterError(f"n must be >= 0, got {n}")
     return float((n + 1) ** 2)
 
 

@@ -55,13 +55,6 @@ class Polynomial3:
     def monomial(coeff: int, a: int, b: int, c: int) -> "Polynomial3":
         return Polynomial3({(a, b, c): coeff})
 
-    @staticmethod
-    def variable(name: str) -> "Polynomial3":
-        i = VARIABLES.index(name)
-        expo = [0, 0, 0]
-        expo[i] = 1
-        return Polynomial3({tuple(expo): 1})
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Polynomial3") -> "Polynomial3":

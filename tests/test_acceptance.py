@@ -336,12 +336,11 @@ def test_criterion_10_roundtrip_and_determinism(tmp_path):
             key: value
             for key, value in direct.to_dict().items()
         }
-    # byte-identical CLI output across repeated single-worker runs
+    # byte-identical CLI output across repeated runs
     cmd = [
         sys.executable, "-m", "duval_kind",
         "integral-table", "--type", "A", "--n", "1", "--kmax", "2", "--tol", "1e-3",
     ]
-    env = {"WORKERS": "1"}
     import os
 
     import duval_kind
@@ -349,7 +348,7 @@ def test_criterion_10_roundtrip_and_determinism(tmp_path):
     # the subprocess runs the package this test imported, installed or not
     source_root = os.path.dirname(os.path.dirname(duval_kind.__file__))
     search_path = [source_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    full_env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
+    full_env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
     first = subprocess.run(cmd, capture_output=True, env=full_env)
     second = subprocess.run(cmd, capture_output=True, env=full_env)
     ok = ok and first.returncode == 0 and first.stdout == second.stdout

@@ -131,9 +131,19 @@ def test_residue_custom_equation(capsys):
 
 
 def test_residue_parse_error_with_caret(capsys):
-    code, out, err = run_cli(capsys, "residue", "--equation", "x^^2")
+    for argv in (["--equation", "x^^2"], ["--equation=x^^2"]):
+        code, out, err = run_cli(capsys, "residue", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines()[-2:] == ["  x^^2", "    ^"]
+
+
+def test_residue_huge_index_names_the_index(capsys):
+    code, out, err = run_cli(capsys, "residue", "D", "1000000000")
     assert code == EXIT_USAGE
-    assert "^" in err.splitlines()[-1]
+    assert out == ""
+    assert "D1000000000" in err
+    assert "position" not in err
 
 
 def test_byte_identical_repeat_runs(capsys):
@@ -186,6 +196,7 @@ MALFORMED_ARGV = {
     "exponent-overflow": ["residue", "--equation", "x^99999999"],
     "classify-index-1001": ["classify", "A", "1001"],
     "fundamental-cycle-index-5000": ["fundamental-cycle", "D", "5000"],
+    "integral-table-kmax-0": ["integral-table", "--n", "1", "--kmax", "0"],
 }
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 
 from .classify import classify
@@ -106,8 +107,6 @@ def _cmd_cycle(args) -> int:
         raise SystemExit2("expected either --graph FILE or an ADE type and index")
     z = fundamental_cycle(g)
     if args.format == "structured":
-        import json
-
         print(
             json.dumps(
                 {

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dual_graph import ParameterError, ade_type
 from .poly import MAX_EXPONENT, Polynomial3, differentiate, parse_polynomial
 
@@ -63,30 +61,6 @@ def covering_image(
 ) -> tuple[complex, complex, complex]:
     """Image (s^{n+1}, t^{n+1}, s t) on the A_n hypersurface."""
     return (s ** (c.n + 1), t ** (c.n + 1), s * t)
-
-
-def ambient_norm_squared_pullback(n: int, rho1: float, rho2: float) -> float:
-    """Squared ambient norm of the covering image as a function of the
-    moduli rho_i = |s|, |t|: rho1^{2n+2} + rho2^{2n+2} + rho1^2 rho2^2."""
-    ade_type("A", n)
-    return rho1 ** (2 * n + 2) + rho2 ** (2 * n + 2) + rho1**2 * rho2**2
-
-
-def log_ambient_norm_squared_pullback(n: int, u1, u2):
-    """Log-space variant: given u_i = log rho_i, return the log of the
-    squared ambient norm via log-sum-exp; never underflows.
-
-    Accepts scalars or numpy arrays (broadcast elementwise).
-    """
-    ade_type("A", n)
-    a = (2 * n + 2) * np.asarray(u1, dtype=float)
-    b = (2 * n + 2) * np.asarray(u2, dtype=float)
-    c = 2 * np.asarray(u1, dtype=float) + 2 * np.asarray(u2, dtype=float)
-    m = np.maximum(np.maximum(a, b), c)
-    out = m + np.log(np.exp(a - m) + np.exp(b - m) + np.exp(c - m))
-    if np.isscalar(u1) and np.isscalar(u2):
-        return float(out)
-    return out
 
 
 def pullback_residue_density(n: int) -> float:

@@ -8,7 +8,9 @@ the certificate reads.  `brute_force_fundamental_cycle` enumerates a
 coefficient box instead of running Laufer's algorithm,
 `determinant_cofactor` expands determinants by cofactors instead of
 eliminating, and the Monte Carlo estimators sample the original
-coordinates instead of integrating over level sets.
+coordinates instead of integrating over level sets, evaluating the
+squared ambient norm of the A_n covering image directly or by
+log-sum-exp.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from duval_kind.cycles import Cycle, CycleError
-from duval_kind.dual_graph import DualGraph
-from duval_kind.models import log_ambient_norm_squared_pullback
+from duval_kind.dual_graph import DualGraph, ade_type
 from duval_kind.quadrature import TWO_PI_SQ
 
 
@@ -220,6 +221,30 @@ def determinant_cofactor(form: IntersectionForm) -> int:
 
 
 # -- Monte Carlo estimators ---------------------------------------------------
+
+def ambient_norm_squared_pullback(n: int, rho1: float, rho2: float) -> float:
+    """Squared ambient norm of the covering image as a function of the
+    moduli rho_i = |s|, |t|: rho1^{2n+2} + rho2^{2n+2} + rho1^2 rho2^2."""
+    ade_type("A", n)
+    return rho1 ** (2 * n + 2) + rho2 ** (2 * n + 2) + rho1**2 * rho2**2
+
+
+def log_ambient_norm_squared_pullback(n: int, u1, u2):
+    """Log-space variant: given u_i = log rho_i, return the log of the
+    squared ambient norm via log-sum-exp; never underflows.
+
+    Accepts scalars or numpy arrays (broadcast elementwise).
+    """
+    ade_type("A", n)
+    a = (2 * n + 2) * np.asarray(u1, dtype=float)
+    b = (2 * n + 2) * np.asarray(u2, dtype=float)
+    c = 2 * np.asarray(u1, dtype=float) + 2 * np.asarray(u2, dtype=float)
+    m = np.maximum(np.maximum(a, b), c)
+    out = m + np.log(np.exp(a - m) + np.exp(b - m) + np.exp(c - m))
+    if np.isscalar(u1) and np.isscalar(u2):
+        return float(out)
+    return out
+
 
 @dataclass(frozen=True)
 class MonteCarloResult:

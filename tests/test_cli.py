@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import duval_kind
 from duval_kind.cli import (
+    EXIT_BUDGET,
     EXIT_NOT_NEGATIVE_DEFINITE,
     EXIT_OK,
     EXIT_USAGE,
@@ -197,6 +207,8 @@ MALFORMED_ARGV = {
     "classify-index-1001": ["classify", "A", "1001"],
     "fundamental-cycle-index-5000": ["fundamental-cycle", "D", "5000"],
     "integral-table-kmax-0": ["integral-table", "--n", "1", "--kmax", "0"],
+    "integral-table-n-above-2**53": ["integral-table", "--n", str(2**53 + 1)],
+    "integral-table-n-10**400": ["integral-table", "--n", str(10**400)],
 }
 
 
@@ -239,3 +251,146 @@ def test_reused_parser_keeps_no_state(capsys):
     assert once == twice
     assert once[0] == EXIT_OK
     assert [run_cli(capsys, *argv) for argv in (malformed, nan_tol)] == first_errors
+
+
+# -- numpy loads with the first integral, and only then ----------------------
+
+# runs cli.main(argv) with its output discarded and prints the exit code
+# and whether numpy was imported; no argv means `import duval_kind` alone
+FRESH_INTERPRETER = """
+import contextlib, io, sys
+import duval_kind
+code = None
+if sys.argv[1:]:
+    import duval_kind.cli as cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+NUMPY_FREE = {
+    "import": [],
+    "classify-e8": ["classify", "E", "8"],
+    "classify-a5-structured": ["classify", "A", "5", "--format", "structured"],
+    "classify-d6-numerics": ["classify", "D", "6", "--numerics"],
+    "fundamental-cycle-d6": ["fundamental-cycle", "D", "6"],
+    "fundamental-cycle-graph": ["fundamental-cycle", "--graph", "GRAPH"],
+    "residue-d5": ["residue", "D", "5"],
+    "residue-equation": ["residue", "--equation", "x^2+y^3+z^5"],
+    "table-tol-nan": ["integral-table", "--n", "2", "--tol", "nan"],
+    "table-n-0": ["integral-table", "--n", "0"],
+    "table-kmax-0": ["integral-table", "--n", "2", "--kmax", "0"],
+    "table-type-d": ["integral-table", "--n", "2", "--type", "D"],
+}
+NUMPY_LOADING = {
+    "table-n1-kmax1": ["integral-table", "--n", "1", "--kmax", "1"],
+    "classify-a2-numerics": ["classify", "A", "2", "--numerics"],
+}
+
+
+def run_fresh(argv):
+    """(exit code or None, numpy imported) of argv in a new interpreter."""
+    source_root = os.path.dirname(os.path.dirname(duval_kind.__file__))
+    search_path = [source_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_INTERPRETER, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, numpy_loaded = done.stdout.split()
+    return (None if code == "None" else int(code)), numpy_loaded == "True"
+
+
+@pytest.mark.parametrize("case", [*NUMPY_FREE, *NUMPY_LOADING])
+def test_numpy_loads_only_for_an_integral(tmp_path, case):
+    argv = {**NUMPY_FREE, **NUMPY_LOADING}[case]
+    if "GRAPH" in argv:
+        path = tmp_path / "a3.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": i, "self_intersection": -2} for i in range(3)],
+            "edges": [{"a": 0, "b": 1}, {"a": 1, "b": 2}],
+        }))
+        argv = [str(path) if a == "GRAPH" else a for a in argv]
+    code, numpy_loaded = run_fresh(argv)
+    if not argv:
+        assert code is None
+    elif argv[0] == "integral-table" and case in NUMPY_FREE:
+        assert code == EXIT_USAGE  # the argument checks precede the kernel import
+    else:
+        assert code == EXIT_OK
+    assert numpy_loaded == (case in NUMPY_LOADING)
+
+
+# -- argv fuzzing --------------------------------------------------------------
+
+ARGV_TEXT = st.characters(exclude_characters="\x00")  # no argv string holds NUL
+ADE_TYPE = st.sampled_from(["A", "D", "E"]) | st.text(ARGV_TEXT, max_size=3)
+INDEX = (st.integers(-3, 1005) | st.integers(-(10**400), 10**400)).map(str)
+TOL = (st.sampled_from([math.nan, math.inf, -math.inf, -1e-4, 0.0, 1e-8]) | st.floats()).map(str)
+FORMAT = st.sampled_from(["plain", "structured", "csv"]) | st.text(ARGV_TEXT, max_size=3)
+# a value of None stands for a flag without a value
+SUBCOMMANDS = {
+    "classify": (
+        st.tuples(ADE_TYPE, INDEX),
+        {"--numerics": st.none(), "--tol": TOL, "--format": FORMAT},
+    ),
+    "fundamental-cycle": (
+        st.tuples() | st.tuples(ADE_TYPE) | st.tuples(ADE_TYPE, INDEX),
+        {
+            "--graph": st.text(ARGV_TEXT, max_size=12).map(
+                lambda name: os.path.join("no-such-directory", name)
+            ),
+            "--format": FORMAT,
+        },
+    ),
+    "integral-table": (
+        st.tuples(),
+        {
+            "--type": ADE_TYPE,
+            "--n": INDEX,
+            "--kmax": st.integers(-1, 6).map(str),
+            "--tol": TOL,
+            "--format": FORMAT,
+        },
+    ),
+    "residue": (
+        st.tuples() | st.tuples(ADE_TYPE) | st.tuples(ADE_TYPE, INDEX),
+        {
+            "--equation": st.text(ARGV_TEXT, max_size=24)
+            | st.text("xyz0123456789^*+- ", max_size=24),
+        },
+    ),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    positionals, options = SUBCOMMANDS[command]
+    argv = [command, *draw(positionals)]
+    for option, value in draw(st.fixed_dictionaries({}, optional=options)).items():
+        argv += [option] if value is None else [f"{option}={value}"]
+    return argv
+
+
+@settings(deadline=None, max_examples=200)
+@given(cli_argv())
+def test_fuzzed_argv_ends_in_a_contract_exit_code(argv):
+    """Every argv of the four subcommands' grammar ends in exit 0, 2, 3 or 4,
+    with no exception and nothing on stdout unless the exit is 0.
+
+    argparse ends --help and -h (which the free text can spell) with
+    SystemExit, as it ends the real process; its code counts as the exit.
+    Graph-file contents are not fuzzed and no wall bound is asserted:
+    huge weights and multiplicities in a graph file make Laufer's loop
+    run without bound today (ROADMAP item 5).
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_BUDGET, EXIT_NOT_NEGATIVE_DEFINITE)
+    if code != EXIT_OK:
+        assert out.getvalue() == ""

@@ -6,14 +6,13 @@ import pytest
 from duval_kind.dual_graph import ParameterError
 from duval_kind.models import (
     CoveringMap,
-    ambient_norm_squared_pullback,
     covering_image,
     duval_equation,
-    log_ambient_norm_squared_pullback,
     pullback_residue_density,
     solve_on_hypersurface,
 )
 from duval_kind.poly import differentiate, evaluate, gradient_vanishes, parse_polynomial
+from oracles import ambient_norm_squared_pullback, log_ambient_norm_squared_pullback
 
 ALL_GERMS = (
     [("A", n) for n in range(1, 13)]

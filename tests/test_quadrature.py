@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from duval_kind.levelset import _WG, _WK, _XK, _level_s
 from duval_kind.quadrature import (
-    _WG,
-    _WK,
-    _XK,
     QuadratureBudgetError,
     QuadratureRangeError,
-    _level_s,
     adaptive_1d,
     dominating_integral,
     integral_Ik,
@@ -46,6 +43,11 @@ def test_range_errors():
         dominating_integral(1, 5, 1e-4)
     with pytest.raises(QuadratureRangeError):
         structure_form_l2_norm(1, 0.7, 1e-4)
+    for n in (2**53 + 1, 10**307, 10**400):  # 10**307 overflowed the level coordinates
+        with pytest.raises(QuadratureRangeError):
+            integral_Ik(n, 1, 1e-4)
+        with pytest.raises(QuadratureRangeError):
+            structure_form_l2_norm(n, 0.1, 1e-4)
 
 
 def test_integral_positive_finite_and_self_convergent():

@@ -99,7 +99,9 @@ def _cmd_cycle(args) -> int:
     if args.graph is not None:
         try:
             g = load_graph(args.graph)
-        except OSError as exc:  # missing or unreadable file, or a directory
+        except GraphInvariantError:
+            raise  # malformed content; main maps it
+        except (OSError, ValueError) as exc:  # missing, unreadable, a directory, a NUL byte
             raise SystemExit2(str(exc)) from exc
     elif args.type is not None and args.index is not None:
         g = build_dynkin(args.type, args.index)

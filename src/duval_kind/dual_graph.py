@@ -3,10 +3,11 @@
 Vertices are exceptional curves carrying self-intersection numbers,
 edges carry intersection multiplicities; the graph is the only
 representation of the form.  Negative definiteness is certified exactly
-by sparse symmetric elimination (LDL^T in rationals) in minimum-degree
-order, read straight from the weights and the edges: a symmetric
-permutation P A P^T is congruent to A, so any elimination order
-certifies definiteness, and on a tree (every ADE graph) each step
+by sparse symmetric elimination (LDL^T) in minimum-degree order, read
+straight from the weights and the edges, with every entry a rational held
+as a numerator and a positive denominator, Python ints in lowest terms.
+A symmetric permutation P A P^T is congruent to A, so any elimination
+order certifies definiteness, and on a tree (every ADE graph) each step
 eliminates a leaf and changes only its neighbour's diagonal.
 """
 
@@ -15,11 +16,12 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 # Largest accepted graph: once fill appears, the certificate holds up to n^2
-# entries and costs O(n^3) Fraction operations.
+# entries and costs O(n^3) integer products and gcds, on integers that grow
+# with the eliminated minors.
 MAX_VERTICES = 1000
 
 
@@ -166,12 +168,12 @@ def is_negative_definite(
     cycles get fill, which stays exact.
     """
     n = len(self_intersections)
-    # diagonal in Fraction: every division below has a Fraction denominator,
-    # so the integer off-diagonal entries never meet float division
-    diag = [Fraction(w) for w in self_intersections]
-    adj: list[dict[int, Fraction | int]] = [{} for _ in range(n)]
+    # every entry is an exact rational num/den: ints in lowest terms, den > 0
+    num = list(self_intersections)
+    den = [1] * n
+    adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
     for (a, b), mult in edges.items():
-        adj[a][b] = adj[b][a] = mult
+        adj[a][b] = adj[b][a] = (mult, 1)
     heap = [(len(nbrs), i) for i, nbrs in enumerate(adj)]
     heapq.heapify(heap)
     eliminated = [False] * n
@@ -179,19 +181,28 @@ def is_negative_definite(
         degree, k = heapq.heappop(heap)
         if eliminated[k] or degree != len(adj[k]):
             continue  # stale entry: k is gone or its degree has changed
-        pivot = diag[k]
-        if pivot >= 0:
+        q, pd = -num[k], den[k]  # pivot = -q / pd
+        if q <= 0:
             return False
         eliminated[k] = True
         nbrs = adj[k]
-        for u, a_uk in nbrs.items():
+        for u, (an, ad) in nbrs.items():
             del adj[u][k]
-            scale = a_uk / pivot
-            diag[u] -= scale * a_uk
-            for w, a_kw in nbrs.items():
+            # a_xy -= a_xk * a_ky / pivot: with sn / sd = -a_uk / pivot, the
+            # diagonal of u gains (sn / sd) * a_uk and each a_uw (sn / sd) * a_kw
+            sn, sd = an * pd, ad * q
+            xd = sd * ad
+            un, ud = num[u] * xd + sn * an * den[u], den[u] * xd
+            g = gcd(un, ud)
+            num[u], den[u] = un // g, ud // g
+            row = adj[u]
+            for w, (bn, bd) in nbrs.items():
                 if w > u:  # fill or update of the pair (u, w), once per pair
-                    value = adj[u].get(w, 0) - scale * a_kw
-                    adj[u][w] = adj[w][u] = value
+                    cn, cd = row.get(w, (0, 1))
+                    xd = sd * bd
+                    cn, cd = cn * xd + sn * bn * cd, cd * xd
+                    g = gcd(cn, cd)
+                    row[w] = adj[w][u] = (cn // g, cd // g)
         for u in nbrs:
             heapq.heappush(heap, (len(adj[u]), u))
     return True

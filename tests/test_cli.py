@@ -209,6 +209,8 @@ MALFORMED_ARGV = {
     "integral-table-kmax-0": ["integral-table", "--n", "1", "--kmax", "0"],
     "integral-table-n-above-2**53": ["integral-table", "--n", str(2**53 + 1)],
     "integral-table-n-10**400": ["integral-table", "--n", str(10**400)],
+    # in-process only: an OS argv cannot carry NUL
+    "graph-path-with-nul": ["fundamental-cycle", "--graph", "a\x00b"],
 }
 
 
@@ -255,17 +257,19 @@ def test_reused_parser_keeps_no_state(capsys):
 
 # -- numpy loads with the first integral, and only then ----------------------
 
-# runs cli.main(argv) with its output discarded and prints the exit code
-# and whether numpy was imported; no argv means `import duval_kind` alone
+# runs cli.main(argv) with stderr discarded, prints the exit code and
+# whether numpy and fractions were imported, then the command's stdout;
+# no argv means `import duval_kind` alone
 FRESH_INTERPRETER = """
 import contextlib, io, sys
 import duval_kind
-code = None
+code, out = None, io.StringIO()
 if sys.argv[1:]:
     import duval_kind.cli as cli
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "fractions" in sys.modules)
+print(out.getvalue(), end="")
 """
 
 NUMPY_FREE = {
@@ -288,17 +292,24 @@ NUMPY_LOADING = {
 }
 
 
-def run_fresh(argv):
-    """(exit code or None, numpy imported) of argv in a new interpreter."""
+def run_fresh(argv, timeout=None):
+    """(exit code or None, numpy imported, fractions imported, stdout) of argv
+    in a new interpreter; subprocess.TimeoutExpired after timeout seconds."""
     source_root = os.path.dirname(os.path.dirname(duval_kind.__file__))
     search_path = [source_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
     done = subprocess.run(
         [sys.executable, "-c", FRESH_INTERPRETER, *argv],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=env, check=True, timeout=timeout,
     )
-    code, numpy_loaded = done.stdout.split()
-    return (None if code == "None" else int(code)), numpy_loaded == "True"
+    status, out = done.stdout.split("\n", 1)
+    code, numpy_loaded, fractions_loaded = status.split()
+    return (
+        None if code == "None" else int(code),
+        numpy_loaded == "True",
+        fractions_loaded == "True",
+        out,
+    )
 
 
 @pytest.mark.parametrize("case", [*NUMPY_FREE, *NUMPY_LOADING])
@@ -311,7 +322,7 @@ def test_numpy_loads_only_for_an_integral(tmp_path, case):
             "edges": [{"a": 0, "b": 1}, {"a": 1, "b": 2}],
         }))
         argv = [str(path) if a == "GRAPH" else a for a in argv]
-    code, numpy_loaded = run_fresh(argv)
+    code, numpy_loaded, fractions_loaded, _ = run_fresh(argv)
     if not argv:
         assert code is None
     elif argv[0] == "integral-table" and case in NUMPY_FREE:
@@ -319,6 +330,26 @@ def test_numpy_loads_only_for_an_integral(tmp_path, case):
     else:
         assert code == EXIT_OK
     assert numpy_loaded == (case in NUMPY_LOADING)
+    assert not fractions_loaded  # the certificate is integer-only
+
+
+def test_bulk_laufer_steps_bound_the_work(tmp_path):
+    """Weights -1 and -(10^18 + 1) with one edge of multiplicity 10^9
+    (ab - m^2 = 1): the fundamental cycle is (10^9, 1), one block of
+    Laufer steps.  Unit steps would take 10^9 increments; the wall bound
+    turns that into a failure instead of a hang."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "vertices": [
+            {"id": 0, "self_intersection": -1},
+            {"id": 1, "self_intersection": -(10**18 + 1)},
+        ],
+        "edges": [{"a": 0, "b": 1, "multiplicity": 10**9}],
+    }))
+    argv = ["fundamental-cycle", "--graph", str(path), "--format", "structured"]
+    code, _, _, out = run_fresh(argv, timeout=30)
+    assert code == EXIT_OK
+    assert json.loads(out)["coefficients"] == [10**9, 1]
 
 
 # -- argv fuzzing --------------------------------------------------------------
@@ -382,8 +413,9 @@ def test_fuzzed_argv_ends_in_a_contract_exit_code(argv):
     argparse ends --help and -h (which the free text can spell) with
     SystemExit, as it ends the real process; its code counts as the exit.
     Graph-file contents are not fuzzed and no wall bound is asserted:
-    huge weights and multiplicities in a graph file make Laufer's loop
-    run without bound today (ROADMAP item 5).
+    near-singular forms such as the Cassini form still make Laufer's loop
+    take 2F_k - 1 steps, and dense fill makes the certificate cost O(n^3)
+    (ROADMAP item 5).
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

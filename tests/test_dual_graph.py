@@ -181,10 +181,33 @@ def cycle_form(n):
     return IntersectionForm(tuple(map(tuple, m)))
 
 
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def cassini_form(k):
+    """Weights -F_k, -F_{k+2} and multiplicity F_{k+1}: ab - m^2 = (-1)^(k+1)."""
+    return ((-fibonacci(k), fibonacci(k + 1)), (fibonacci(k + 1), -fibonacci(k + 2)))
+
+
+def complete_form(n, weight):
+    """K_n: every self-intersection is weight, every multiplicity 1."""
+    return tuple(tuple(weight if i == j else 1 for j in range(n)) for i in range(n))
+
+
+M = 10**9
+
+
 @pytest.mark.parametrize(
     "matrix,expected",
     [
         (((-1, 1), (1, -1)), [-1, 0]),
+        (((-1, M), (M, -M * M)), [-1, 0]),  # ab - m^2 = 0 at m = 10^9
+        (((-1, M), (M, -M * M + 1)), [-1, -1]),  # ab - m^2 = -1
+        (cassini_form(40), [-fibonacci(40), -1]),
         # zero second minor: the sweep stops before the third vertex
         (((-1, 1, 0), (1, -1, 1), (0, 1, -2)), [-1, 0]),
         (cycle_form(4).matrix, [-2, 3, -4, 0]),  # affine A~3
@@ -203,6 +226,26 @@ def test_bareiss_stops_at_zero_minor_and_rejects_indefinite(matrix, expected):
     assert leading_minor_determinants(form) == expected
     assert cofactor_leading_minors(form) == expected
     assert not is_negative_definite(*form_parts(matrix))
+
+
+@pytest.mark.parametrize(
+    "matrix,last_minor,definite",
+    [
+        (((-1, M), (M, -M * M - 1)), 1, True),  # ab - m^2 = 1 at m = 10^9
+        (cassini_form(39), 1, True),
+        (complete_form(30, -30), 31**29, True),
+        (complete_form(30, -29), 0, False),  # the all-ones vector is in the kernel
+    ],
+    ids=["ab-m2=1", "cassini-39", "complete-30-weight-30", "complete-30-weight-29"],
+)
+def test_certificate_at_exact_boundary(matrix, last_minor, definite):
+    # big integers (m = 10^9, F_40) and the fill of a complete graph
+    form = IntersectionForm(matrix)
+    minors = leading_minor_determinants(form)
+    assert len(minors) == form.size and minors[-1] == last_minor
+    signs_ok = all((-1) ** k * det > 0 for k, det in enumerate(minors, start=1))
+    assert signs_ok == definite
+    assert is_negative_definite(*form_parts(matrix)) == definite
 
 
 @pytest.mark.parametrize("n", [100, 200])

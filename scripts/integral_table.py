@@ -9,7 +9,7 @@ per n.
 import argparse
 import sys
 
-from duval_kind.quadrature import integral_Ik
+from duval_kind.quadrature import integral_Ik_bands
 
 
 def main() -> int:
@@ -21,15 +21,13 @@ def main() -> int:
 
     print("n,k,value,error,truncation_bound,subregions")
     for n in range(1, args.n_max + 1):
-        values = []
-        for k in range(1, args.k_max + 1):
-            res = integral_Ik(n, k, args.tol)
-            values.append(res.value)
+        results = integral_Ik_bands(n, range(1, args.k_max + 1), args.tol)
+        for k, res in enumerate(results, start=1):
             print(
                 f"{n},{k},{res.value:.17e},{res.error_estimate:.17e},"
                 f"{res.truncation_bound:.17e},{res.subregions_used}"
             )
-        ratio = max(values) / values[0]
+        ratio = max(res.value for res in results) / results[0].value
         print(f"n={n}: max_k I~_k / I~_1 = {ratio:.6f}", file=sys.stderr)
     return 0
 

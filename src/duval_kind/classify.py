@@ -18,7 +18,8 @@ from .cycles import Cycle, CycleError, fundamental_cycle, is_reduced
 from .dual_graph import DualGraph, ParameterError, build_dynkin
 from .cutoff import GRADIENT_CONSTANT
 from .quadrature import (
-    integral_Ik,
+    integral_Ik,  # noqa: F401 (span point of bench/tracing.py)
+    integral_Ik_bands,
     weighted_graph_norm_defect,  # noqa: F401 (span point of bench/tracing.py)
 )
 
@@ -115,15 +116,14 @@ def _graph_summary(g: DualGraph) -> dict:
 
 
 def _integral_table(n: int, rel_tol: float, k_max: int = 3) -> tuple[IntegralRow, ...]:
-    """One integral per k; the defect bound C^2 I~_k (C the cut-off gradient
-    constant) is the value weighted_graph_norm_defect reports."""
-    rows = []
-    for k in range(1, k_max + 1):
-        res = integral_Ik(n, k, rel_tol)
-        rows.append(
-            IntegralRow(k, res.value, res.error_estimate, GRADIENT_CONSTANT**2 * res.value)
-        )
-    return tuple(rows)
+    """One family of integrals, k = 1..k_max; the defect bound C^2 I~_k (C
+    the cut-off gradient constant) is the value weighted_graph_norm_defect
+    reports."""
+    results = integral_Ik_bands(n, range(1, k_max + 1), rel_tol)
+    return tuple(
+        IntegralRow(k, res.value, res.error_estimate, GRADIENT_CONSTANT**2 * res.value)
+        for k, res in enumerate(results, start=1)
+    )
 
 
 def classify(

@@ -5,11 +5,17 @@ Both integrals run on one adaptive Gauss-Kronrod kernel (G7/K15,
 QUADPACK, Piessens et al. 1983), vectorised over the nodes of all
 panels of a family of integrals.  A panel's error estimate is
 |K15 - G7|, floored at 50 eps_mach sum h |K| and increased by the
-errors of nested inner integrals weighted by the outer rule.
+errors of nested inner integrals weighted by the outer rule.  Each
+integral of a family keeps its own tolerance, panel count and budget,
+so it refines as it would alone: `annulus_bands` computes all bands
+I~_k of a table in one family (its inner d-integrals, one per level,
+are a second family), while `level_area` and `interval` are families
+of one.
 
-The functions here return the kernel's raw (value, error, panels);
-`quadrature` checks the arguments first, imports this module, and
-scales, bounds and checks the result.
+The functions here return the kernel's raw (value, error, panels), as
+arrays with one entry per band for `annulus_bands`; `quadrature` checks
+the arguments first, imports this module, and scales, bounds and checks
+the result.
 """
 
 from __future__ import annotations
@@ -60,54 +66,75 @@ _NEWTON_STEPS = 60
 
 # -- the G7/K15 kernel ---------------------------------------------------------
 
-def _kronrod(f, lo, hi, rows):
+def _kronrod(f, lo, hi, rows, m):
     """K15 values and error estimates of the panels [lo, hi] of integrals rows,
-    plus the panels nested integrals in f evaluated."""
+    plus the panels nested integrals in f evaluated, per integral (0 when f
+    reports none)."""
     half = 0.5 * (hi - lo)
     x = 0.5 * (hi + lo)[:, None] + half[:, None] * _XK
-    fx, node_err, inner_panels = f(x, np.broadcast_to(rows[:, None], x.shape))
+    node_rows = np.broadcast_to(rows[:, None], x.shape)
+    fx, node_err, inner_panels = f(x, node_rows)
     kronrod = half * (fx @ _WK)
     gauss = half * (fx[:, 1::2] @ _WG)
     width = np.abs(half)
     floor = _ROUNDOFF_FLOOR * width * (np.abs(fx) @ _WK)
     err = np.maximum(np.abs(kronrod - gauss), floor)
     err = err + width * (np.broadcast_to(node_err, fx.shape) @ _WK)
+    if isinstance(inner_panels, np.ndarray):
+        inner_panels = np.bincount(node_rows.ravel(), inner_panels.ravel(), m)
     return kronrod, err, inner_panels
+
+
+def _panels(rows, initial, inner, m):
+    """Panels evaluated per integral, nested ones included: each bisection
+    evaluates two panels and adds one leaf to the initial ones."""
+    return 2 * np.bincount(rows, minlength=m) - initial + inner
 
 
 def _gauss_kronrod(f, points, rel_tol, max_panels):
     """Adaptive G7/K15 for a family of integrals int f(x, j) dx, j = 0..m-1.
 
     points: array (m, p) of breakpoints per integral; panels of zero width
-    are dropped.  f(x, rows) returns (values, node errors,
-    inner panels) for node array x and same-shaped row indices.  Every
-    panel of an integral whose error exceeds its tolerance rel_tol |value|
-    bisects while its own error exceeds that tolerance's equal share per
-    panel.  Stops when all integrals meet the tolerance or max_panels
-    panels have been evaluated; returns (values, errors, panels).
+    are dropped.  f(x, rows) returns (values, node errors, inner panels)
+    for node array x and same-shaped row indices; inner panels is 0, or
+    the panels a nested integral evaluated at each node.  Every panel of
+    an integral whose error exceeds its tolerance rel_tol |value| bisects
+    while its own error exceeds that tolerance's equal share per panel.
+    Each integral stops when it meets its tolerance or has evaluated
+    max_panels panels, its own and those of its nested integrals, so it
+    refines as it would alone.  Returns arrays (values, errors, panels),
+    one entry per integral.
     """
     m = points.shape[0]
     lo, hi = points[:, :-1].ravel(), points[:, 1:].ravel()
     rows = np.repeat(np.arange(m), points.shape[1] - 1)
     nonempty = hi != lo
     lo, hi, rows = lo[nonempty], hi[nonempty], rows[nonempty]
-    val, err, panels = _kronrod(f, lo, hi, rows)
-    panels += len(lo)
+    initial = np.bincount(rows, minlength=m)
+    val, err, inner = _kronrod(f, lo, hi, rows, m)
+    nested = isinstance(inner, np.ndarray)
+    # all panels of the family: a bound on each integral's own count
+    spent = len(lo) + (inner.sum() if nested else 0)
     while True:
         value = np.bincount(rows, val, m)
         error = np.bincount(rows, err, m)
         tol = rel_tol * np.abs(value)
         unmet = error > tol
-        if not unmet.any() or panels >= max_panels:
-            return value, error, panels
+        if spent >= max_panels:  # only now can an integral have spent its budget
+            unmet &= _panels(rows, initial, inner, m) < max_panels
+        if not unmet.any():
+            return value, error, _panels(rows, initial, inner, m)
         share = tol / np.bincount(rows, minlength=m)
         split = unmet[rows] & (err > share[rows])
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
         new_rows = np.tile(rows[split], 2)
-        new_val, new_err, inner_panels = _kronrod(f, new_lo, new_hi, new_rows)
-        panels += inner_panels + len(new_lo)
+        new_val, new_err, new_inner = _kronrod(f, new_lo, new_hi, new_rows, m)
+        spent += len(new_lo)
+        if nested:
+            inner = inner + new_inner
+            spent += new_inner.sum()
         keep = ~split
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
@@ -121,7 +148,7 @@ def interval(f, a: float, b: float, rel_tol: float, max_panels: int):
     value, error, panels = _gauss_kronrod(
         lambda x, rows: (f(x), 0.0, 0), np.array([[a, b]], dtype=float), rel_tol, max_panels
     )
-    return value[0], error[0], panels
+    return value[0], error[0], panels[0]
 
 
 # -- level-set coordinates -----------------------------------------------------
@@ -168,9 +195,10 @@ def _d_points(n: int, ell):
 
 # -- the two integrands ----------------------------------------------------------
 
-def annulus_band(n: int, k: int, rel_tol: float, max_panels: int):
+def annulus_bands(n: int, ks, rel_tol: float, max_panels: int):
     """int over the band -2e^{k+1} < ell < -2e^k of dell / ell^2
-    int_0^{d*+TAIL} sigma(-psi) / (dL/ds) dd: (value, error, panels)."""
+    int_0^{d*+TAIL} sigma(-psi) / (dL/ds) dd for each k in ks, one family
+    with a row per band: arrays (values, errors, panels)."""
 
     def level_density(ell, rows):
         """int_0^inf sigma(-psi) / (dL/ds) dd / ell^2 at each level ell."""
@@ -185,11 +213,14 @@ def annulus_band(n: int, k: int, rel_tol: float, max_panels: int):
             slice_density, _d_points(n, flat), _INNER_SHARE * rel_tol, max_panels
         )
         weight = 1.0 / (flat * flat)
-        return (inner * weight).reshape(ell.shape), (inner_err * weight).reshape(ell.shape), panels
+        return (
+            (inner * weight).reshape(ell.shape),
+            (inner_err * weight).reshape(ell.shape),
+            panels.reshape(ell.shape),
+        )
 
-    band = np.array([[-2.0 * math.exp(k + 1), -2.0 * math.exp(k)]])
-    value, error, panels = _gauss_kronrod(level_density, band, rel_tol, max_panels)
-    return value[0], error[0], panels
+    bands = np.array([[-2.0 * math.exp(k + 1), -2.0 * math.exp(k)] for k in ks])
+    return _gauss_kronrod(level_density, bands, rel_tol, max_panels)
 
 
 def level_area(n: int, level: float, rel_tol: float, max_panels: int):
@@ -203,4 +234,4 @@ def level_area(n: int, level: float, rel_tol: float, max_panels: int):
     value, error, panels = _gauss_kronrod(
         density, _d_points(n, np.array([level])), rel_tol, max_panels
     )
-    return value[0], error[0], panels
+    return value[0], error[0], panels[0]

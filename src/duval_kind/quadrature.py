@@ -25,12 +25,15 @@ softplus(psi) >= 2(d - d*).  The d-axis is cut at d* + 40 and the
 dropped tail is bounded in closed form.
 
 The G7/K15 kernel and the level coordinates live in `levelset`, the one
-module of the package that uses numpy.  `integral_Ik`,
-`structure_form_l2_norm` and `adaptive_1d` each import it at one site,
-after their argument checks, so the exact half, the CLI parser and every
-usage error never load numpy; the first integral of a process pays that
-import.  This module keeps the contract: argument ranges, the
-closed-form tail bounds, the scaling and the budget check.
+module of the package that uses numpy.  `integral_Ik_bands` and
+`structure_form_l2_norm` each import it at one site, after their
+argument checks, so the exact half, the CLI parser and every usage error
+never load numpy; the first integral of a process pays that import.
+`integral_Ik_bands` hands all its bands to the kernel as one family, one
+vectorised refinement whose rows each keep the panel count and budget of
+a lone band; `integral_Ik` is the family of one.  This module keeps the
+contract: argument ranges, the closed-form tail bounds, the scaling and
+the budget check.
 """
 
 from __future__ import annotations
@@ -82,16 +85,6 @@ def _checked(value, error, panels, scale, truncation, rel_tol, max_panels) -> "Q
     return result
 
 
-def adaptive_1d(f, a: float, b: float, rel_tol: float, max_intervals: int = 100_000):
-    """Adaptive G7/K15 on [a, b] for a smooth integrand f that maps an array
-    of nodes to an array of values; returns (value, error_estimate)."""
-    from . import levelset
-
-    value, error, panels = levelset.interval(f, a, b, rel_tol, max_intervals)
-    _checked(value, error, panels, 1.0, 0.0, rel_tol, max_intervals)
-    return float(value), float(error)
-
-
 # n - 1 and n + 1 are exact in binary64 up to here; near n = 1e308 the
 # level coordinates overflow, and above 2^1024 n does not convert to float
 MAX_N = 2**53
@@ -107,37 +100,49 @@ def _check_tol(rel_tol: float) -> None:
         raise QuadratureRangeError(f"rel_tol must be finite and >= 1e-8, got {rel_tol}")
 
 
-def integral_Ik(n: int, k: int, rel_tol: float, max_cells: int = 400_000) -> QuadratureResult:
-    """The annulus integral I~_k over pi^{-1}(D_k) for the A_n covering."""
+def integral_Ik_bands(
+    n: int, ks, rel_tol: float, max_cells: int = 400_000
+) -> tuple[QuadratureResult, ...]:
+    """The annulus integrals I~_k over pi^{-1}(D_k) for the A_n covering,
+    one result per k in ks, computed as one family."""
     _check_n(n)
-    if not 1 <= k <= 4:
-        raise QuadratureRangeError(f"k must be in 1..4 (binary64 regime), got {k}")
+    ks = tuple(ks)
+    if not ks:
+        raise QuadratureRangeError("need at least one k in 1..4, got none")
+    for k in ks:
+        if not 1 <= k <= 4:
+            raise QuadratureRangeError(f"k must be in 1..4 (binary64 regime), got {k}")
     _check_tol(rel_tol)
 
     from . import levelset
 
-    value, error, panels = levelset.annulus_band(n, k, rel_tol, max_cells)
-    # sigma(-psi) = e^{-softplus(psi)} <= e^{-2(d - d*)}, and dL/ds >= 2
-    tail = (
-        TWO_PI_SQ * math.exp(-2.0 * levelset.TAIL) * (1.0 - math.exp(-1.0)) / (8.0 * math.exp(k))
-    )
-    return _checked(value, error, panels, TWO_PI_SQ, tail, rel_tol, max_cells)
+    values, errors, panels = levelset.annulus_bands(n, ks, rel_tol, max_cells)
+    results = []
+    for k, value, error, count in zip(ks, values, errors, panels):
+        # sigma(-psi) = e^{-softplus(psi)} <= e^{-2(d - d*)}, and dL/ds >= 2
+        tail = (
+            TWO_PI_SQ * math.exp(-2.0 * levelset.TAIL) * (1.0 - math.exp(-1.0))
+            / (8.0 * math.exp(k))
+        )
+        results.append(_checked(value, error, count, TWO_PI_SQ, tail, rel_tol, max_cells))
+    return tuple(results)
+
+
+def integral_Ik(n: int, k: int, rel_tol: float, max_cells: int = 400_000) -> QuadratureResult:
+    """The annulus integral I~_k over pi^{-1}(D_k) for the A_n covering."""
+    return integral_Ik_bands(n, (k,), rel_tol, max_cells)[0]
 
 
 def dominating_integral(n: int, k_max: int, rel_tol: float) -> QuadratureResult:
     """Sum of I~_k for k = 1..k_max: the dominated-convergence envelope
     integral over the union of annuli."""
-    if k_max < 1:  # integral_Ik bounds k from above
-        raise QuadratureRangeError(f"k_max must be >= 1, got {k_max}")
-    value = err = trunc = 0.0
-    regions = 0
-    for k in range(1, k_max + 1):
-        res = integral_Ik(n, k, rel_tol)
-        value += res.value
-        err += res.error_estimate
-        trunc += res.truncation_bound
-        regions += res.subregions_used
-    return QuadratureResult(value, err, regions, trunc)
+    parts = integral_Ik_bands(n, range(1, k_max + 1), rel_tol)
+    return QuadratureResult(
+        sum(p.value for p in parts),
+        sum(p.error_estimate for p in parts),
+        sum(p.subregions_used for p in parts),
+        sum(p.truncation_bound for p in parts),
+    )
 
 
 def structure_form_l2_norm(

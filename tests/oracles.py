@@ -10,7 +10,8 @@ coefficient box instead of running Laufer's algorithm,
 eliminating, and the Monte Carlo estimators sample the original
 coordinates instead of integrating over level sets, evaluating the
 squared ambient norm of the A_n covering image directly or by
-log-sum-exp.
+log-sum-exp.  `adaptive_1d` runs the product's G7/K15 kernel on a plain
+1-D integrand, for drills against closed forms.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from duval_kind import levelset
 from duval_kind.cycles import Cycle, CycleError
 from duval_kind.dual_graph import DualGraph, ade_type
 from duval_kind.quadrature import TWO_PI_SQ
@@ -315,3 +317,14 @@ def _monte_carlo(f, n, lo, hi, scale, samples, seed):
         standard_error=scale * area * std_err,
         samples=samples,
     )
+
+
+# -- 1-D drill integrator ---------------------------------------------------------
+
+def adaptive_1d(f, a: float, b: float, rel_tol: float, max_intervals: int = 100_000):
+    """Adaptive G7/K15 on [a, b] for a smooth integrand f that maps an array
+    of nodes to an array of values; returns (value, error_estimate)."""
+    value, error, _ = levelset.interval(f, a, b, rel_tol, max_intervals)
+    if not error <= rel_tol * abs(value):
+        raise ArithmeticError(f"{max_intervals} panels did not reach rel_tol {rel_tol}")
+    return float(value), float(error)

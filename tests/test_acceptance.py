@@ -31,8 +31,9 @@ from duval_kind.dual_graph import (
 )
 from duval_kind.models import duval_equation, covering_image, CoveringMap, solve_on_hypersurface
 from duval_kind.poly import evaluate, gradient_vanishes, parse_polynomial
-from duval_kind.quadrature import adaptive_1d, integral_Ik, structure_form_l2_norm
+from duval_kind.quadrature import integral_Ik, structure_form_l2_norm
 from oracles import (
+    adaptive_1d,
     brute_force_fundamental_cycle,
     determinant_cofactor,
     intersection_form,

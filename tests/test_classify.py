@@ -138,19 +138,26 @@ def test_report_serialization():
 
 
 def test_numerics_compute_each_integral_once(monkeypatch):
-    calls = []
+    calls = {"integral_Ik": [], "integral_Ik_bands": []}
     quadrature = importlib.import_module("duval_kind.quadrature")
-    original = quadrature.integral_Ik
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(quadrature, name)
 
-    # every path to the integral: classify's own name and the one that
-    # weighted_graph_norm_defect looks up
-    for module in ("duval_kind.classify", "duval_kind.quadrature"):
-        monkeypatch.setattr(importlib.import_module(module), "integral_Ik", counting)
+        def counted(*args, **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+
+        return counted
+
+    # every path to the integrals: classify's own names and the ones that
+    # integral_Ik and weighted_graph_norm_defect look up
+    for name in calls:
+        for module in ("duval_kind.classify", "duval_kind.quadrature"):
+            monkeypatch.setattr(importlib.import_module(module), name, counting(name))
     report = classify("A", 2, with_numerics=True)
-    assert len(calls) == 3
+    assert calls["integral_Ik"] == []
+    [(n, ks, _)] = calls["integral_Ik_bands"]
+    assert (n, tuple(ks)) == (2, (1, 2, 3))
     for row in report.numerical_evidence:
         assert row.defect_bound == 4.0 * row.integral

@@ -284,6 +284,7 @@ NUMPY_FREE = {
     "table-tol-nan": ["integral-table", "--n", "2", "--tol", "nan"],
     "table-n-0": ["integral-table", "--n", "0"],
     "table-kmax-0": ["integral-table", "--n", "2", "--kmax", "0"],
+    "table-kmax-5": ["integral-table", "--n", "2", "--kmax", "5"],
     "table-type-d": ["integral-table", "--n", "2", "--type", "D"],
 }
 NUMPY_LOADING = {

@@ -7,13 +7,13 @@ from duval_kind.levelset import _WG, _WK, _XK, _level_s
 from duval_kind.quadrature import (
     QuadratureBudgetError,
     QuadratureRangeError,
-    adaptive_1d,
     dominating_integral,
     integral_Ik,
+    integral_Ik_bands,
     structure_form_l2_norm,
     weighted_graph_norm_defect,
 )
-from oracles import monte_carlo_Ik, monte_carlo_l2_norm
+from oracles import adaptive_1d, monte_carlo_Ik, monte_carlo_l2_norm
 
 # Diagonal-slice drill: on rho1 = rho2 = rho with n = 1 the squared norm
 # is 3 rho^4, and in v = log rho the radial integrand becomes
@@ -41,6 +41,9 @@ def test_range_errors():
         integral_Ik(1, 1, 1e-9)
     with pytest.raises(QuadratureRangeError):
         dominating_integral(1, 5, 1e-4)
+    for ks in ((1, 2, 5), (0, 1), ()):
+        with pytest.raises(QuadratureRangeError):
+            integral_Ik_bands(1, ks, 1e-4)
     with pytest.raises(QuadratureRangeError):
         structure_form_l2_norm(1, 0.7, 1e-4)
     for n in (2**53 + 1, 10**307, 10**400):  # 10**307 overflowed the level coordinates
@@ -48,6 +51,22 @@ def test_range_errors():
             integral_Ik(n, 1, 1e-4)
         with pytest.raises(QuadratureRangeError):
             structure_form_l2_norm(n, 0.1, 1e-4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("ks", [(1, 2, 3, 4), (4, 2)])
+def test_band_family_matches_lone_integrals(n, ks):
+    # each row of the family refines as its band alone: the same panels and
+    # truncation bound, and values equal up to rounding (BLAS sums of a
+    # different length, and Newton steps shared with the other bands' nodes)
+    family = integral_Ik_bands(n, ks, 1e-4)
+    assert len(family) == len(ks)
+    for k, row in zip(ks, family):
+        alone = integral_Ik(n, k, 1e-4)
+        assert row.subregions_used == alone.subregions_used
+        assert row.truncation_bound == alone.truncation_bound
+        assert row.value == pytest.approx(alone.value, rel=1e-14, abs=0.0)
+        assert row.error_estimate == pytest.approx(alone.error_estimate, rel=1e-6, abs=0.0)
 
 
 def test_integral_positive_finite_and_self_convergent():
@@ -218,6 +237,7 @@ def test_structure_form_l2_norm_small_radii():
     "call",
     [
         lambda: integral_Ik(2, 1, 1e-8, max_cells=50),
+        lambda: integral_Ik_bands(2, (1, 2), 1e-8, max_cells=50),
         lambda: structure_form_l2_norm(3, 0.01, 1e-8, max_cells=5),
     ],
 )

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 from .cycles import Cycle, CycleError, fundamental_cycle, is_reduced
 from .dual_graph import DualGraph, ParameterError, build_dynkin
-from .cutoff import GRADIENT_CONSTANT
 from .quadrature import (
+    defect_bound,
     integral_Ik,  # noqa: F401 (span point of bench/tracing.py)
     integral_Ik_bands,
     weighted_graph_norm_defect,  # noqa: F401 (span point of bench/tracing.py)
@@ -115,13 +115,11 @@ def _graph_summary(g: DualGraph) -> dict:
     }
 
 
-def _integral_table(n: int, rel_tol: float, k_max: int = 3) -> tuple[IntegralRow, ...]:
-    """One family of integrals, k = 1..k_max; the defect bound C^2 I~_k (C
-    the cut-off gradient constant) is the value weighted_graph_norm_defect
-    reports."""
-    results = integral_Ik_bands(n, range(1, k_max + 1), rel_tol)
+def _integral_table(n: int, rel_tol: float) -> tuple[IntegralRow, ...]:
+    """One family of integrals, k = 1..3, each with its defect bound C^2 I~_k."""
+    results = integral_Ik_bands(n, range(1, 4), rel_tol)
     return tuple(
-        IntegralRow(k, res.value, res.error_estimate, GRADIENT_CONSTANT**2 * res.value)
+        IntegralRow(k, res.value, res.error_estimate, defect_bound(res).value)
         for k, res in enumerate(results, start=1)
     )
 

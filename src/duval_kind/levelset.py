@@ -9,8 +9,7 @@ errors of nested inner integrals weighted by the outer rule.  Each
 integral of a family keeps its own tolerance, panel count and budget,
 so it refines as it would alone: `annulus_bands` computes all bands
 I~_k of a table in one family (its inner d-integrals, one per level,
-are a second family), while `level_area` and `interval` are families
-of one.
+are a second family), while `level_area` is a family of one.
 
 The functions here return the kernel's raw (value, error, panels), as
 arrays with one entry per band for `annulus_bands`; `quadrature` checks
@@ -141,14 +140,6 @@ def _gauss_kronrod(f, points, rel_tol, max_panels):
         rows = np.concatenate([rows[keep], new_rows])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
-
-
-def interval(f, a: float, b: float, rel_tol: float, max_panels: int):
-    """Adaptive G7/K15 of f (nodes -> values) on [a, b]: (value, error, panels)."""
-    value, error, panels = _gauss_kronrod(
-        lambda x, rows: (f(x), 0.0, 0), np.array([[a, b]], dtype=float), rel_tol, max_panels
-    )
-    return value[0], error[0], panels[0]
 
 
 # -- level-set coordinates -----------------------------------------------------

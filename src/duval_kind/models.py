@@ -63,15 +63,6 @@ def covering_image(
     return (s ** (c.n + 1), t ** (c.n + 1), s * t)
 
 
-def pullback_residue_density(n: int) -> float:
-    """Constant density of the pulled-back structure form against the
-    Euclidean volume element of C^2: (n+1)^2 (n=0 means the identity
-    covering of a smooth point)."""
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    return float((n + 1) ** 2)
-
-
 def solve_on_hypersurface(germ: HypersurfaceGerm, y: complex, z: complex) -> list[complex]:
     """Points (x, y, z) on the germ for given (y, z), solving for x.
 

@@ -1,5 +1,5 @@
-"""Level-set (coarea) quadrature for the annulus integrals I~_k, the
-dominating integral and the L^2 norm of the A_n structure form.
+"""Level-set (coarea) quadrature for the annulus integrals I~_k and the
+L^2 norm of the A_n structure form.
 
 Phases contribute an exact (2 pi)^2, and the moduli are parametrized by
 u_i = log rho_i, where the squared ambient norm has logarithm
@@ -106,19 +106,20 @@ def integral_Ik_bands(
     """The annulus integrals I~_k over pi^{-1}(D_k) for the A_n covering,
     one result per k in ks, computed as one family."""
     _check_n(n)
-    ks = tuple(ks)
-    if not ks:
-        raise QuadratureRangeError("need at least one k in 1..4, got none")
-    for k in ks:
+    checked = []
+    for k in ks:  # stops at the first k out of range, however long ks is
         if not 1 <= k <= 4:
             raise QuadratureRangeError(f"k must be in 1..4 (binary64 regime), got {k}")
+        checked.append(k)
+    if not checked:
+        raise QuadratureRangeError("need at least one k in 1..4, got none")
     _check_tol(rel_tol)
 
     from . import levelset
 
-    values, errors, panels = levelset.annulus_bands(n, ks, rel_tol, max_cells)
+    values, errors, panels = levelset.annulus_bands(n, checked, rel_tol, max_cells)
     results = []
-    for k, value, error, count in zip(ks, values, errors, panels):
+    for k, value, error, count in zip(checked, values, errors, panels):
         # sigma(-psi) = e^{-softplus(psi)} <= e^{-2(d - d*)}, and dL/ds >= 2
         tail = (
             TWO_PI_SQ * math.exp(-2.0 * levelset.TAIL) * (1.0 - math.exp(-1.0))
@@ -131,18 +132,6 @@ def integral_Ik_bands(
 def integral_Ik(n: int, k: int, rel_tol: float, max_cells: int = 400_000) -> QuadratureResult:
     """The annulus integral I~_k over pi^{-1}(D_k) for the A_n covering."""
     return integral_Ik_bands(n, (k,), rel_tol, max_cells)[0]
-
-
-def dominating_integral(n: int, k_max: int, rel_tol: float) -> QuadratureResult:
-    """Sum of I~_k for k = 1..k_max: the dominated-convergence envelope
-    integral over the union of annuli."""
-    parts = integral_Ik_bands(n, range(1, k_max + 1), rel_tol)
-    return QuadratureResult(
-        sum(p.value for p in parts),
-        sum(p.error_estimate for p in parts),
-        sum(p.subregions_used for p in parts),
-        sum(p.truncation_bound for p in parts),
-    )
 
 
 def structure_form_l2_norm(
@@ -165,14 +154,19 @@ def structure_form_l2_norm(
     return _checked(value, error, panels, scale, tail, rel_tol, max_cells)
 
 
-def weighted_graph_norm_defect(n: int, k: int, rel_tol: float) -> QuadratureResult:
-    """Certified upper bound 4 I~_k on the squared graph-norm defect
-    ||dbar mu_k wedge omega||^2 (the cut-off constant 2, squared)."""
-    base = integral_Ik(n, k, rel_tol)
+def defect_bound(integral: QuadratureResult) -> QuadratureResult:
+    """The bound C^2 I~_k on the squared graph-norm defect
+    ||dbar mu_k wedge omega||^2 from a result for I~_k, with C = 2 the
+    cut-off gradient constant."""
     weight = GRADIENT_CONSTANT**2
     return QuadratureResult(
-        weight * base.value,
-        weight * base.error_estimate,
-        base.subregions_used,
-        weight * base.truncation_bound,
+        weight * integral.value,
+        weight * integral.error_estimate,
+        integral.subregions_used,
+        weight * integral.truncation_bound,
     )
+
+
+def weighted_graph_norm_defect(n: int, k: int, rel_tol: float) -> QuadratureResult:
+    """Certified upper bound 4 I~_k on the squared graph-norm defect."""
+    return defect_bound(integral_Ik(n, k, rel_tol))

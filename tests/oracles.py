@@ -11,7 +11,10 @@ eliminating, and the Monte Carlo estimators sample the original
 coordinates instead of integrating over level sets, evaluating the
 squared ambient norm of the A_n covering image directly or by
 log-sum-exp.  `adaptive_1d` runs the product's G7/K15 kernel on a plain
-1-D integrand, for drills against closed forms.
+1-D integrand, for drills against closed forms.  `dominating_integral`
+sums the annulus integrals I~_1..I~_k_max of one band family, and
+`pullback_residue_density` is the constant density (n+1)^2 of the
+pulled-back structure form.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import numpy as np
 
 from duval_kind import levelset
 from duval_kind.cycles import Cycle, CycleError
-from duval_kind.dual_graph import DualGraph, ade_type
-from duval_kind.quadrature import TWO_PI_SQ
+from duval_kind.dual_graph import DualGraph, ParameterError, ade_type
+from duval_kind.quadrature import TWO_PI_SQ, QuadratureResult, integral_Ik_bands
 
 
 # -- dense reference for the intersection form --------------------------------
@@ -324,7 +327,32 @@ def _monte_carlo(f, n, lo, hi, scale, samples, seed):
 def adaptive_1d(f, a: float, b: float, rel_tol: float, max_intervals: int = 100_000):
     """Adaptive G7/K15 on [a, b] for a smooth integrand f that maps an array
     of nodes to an array of values; returns (value, error_estimate)."""
-    value, error, _ = levelset.interval(f, a, b, rel_tol, max_intervals)
+    (value,), (error,), _ = levelset._gauss_kronrod(
+        lambda x, rows: (f(x), 0.0, 0), np.array([[a, b]], dtype=float), rel_tol, max_intervals
+    )
     if not error <= rel_tol * abs(value):
         raise ArithmeticError(f"{max_intervals} panels did not reach rel_tol {rel_tol}")
     return float(value), float(error)
+
+
+# -- sums and densities over the A_n covering ---------------------------------
+
+def dominating_integral(n: int, k_max: int, rel_tol: float) -> QuadratureResult:
+    """Sum of I~_k for k = 1..k_max: the dominated-convergence envelope
+    integral over the union of annuli."""
+    parts = integral_Ik_bands(n, range(1, k_max + 1), rel_tol)
+    return QuadratureResult(
+        sum(p.value for p in parts),
+        sum(p.error_estimate for p in parts),
+        sum(p.subregions_used for p in parts),
+        sum(p.truncation_bound for p in parts),
+    )
+
+
+def pullback_residue_density(n: int) -> float:
+    """Constant density of the pulled-back structure form against the
+    Euclidean volume element of C^2: (n+1)^2 (n=0 means the identity
+    covering of a smooth point)."""
+    if n < 0:
+        raise ParameterError(f"n must be >= 0, got {n}")
+    return float((n + 1) ** 2)

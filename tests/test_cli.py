@@ -207,6 +207,7 @@ MALFORMED_ARGV = {
     "classify-index-1001": ["classify", "A", "1001"],
     "fundamental-cycle-index-5000": ["fundamental-cycle", "D", "5000"],
     "integral-table-kmax-0": ["integral-table", "--n", "1", "--kmax", "0"],
+    "integral-table-kmax-10**18": ["integral-table", "--n", "2", "--kmax", str(10**18)],
     "integral-table-n-above-2**53": ["integral-table", "--n", str(2**53 + 1)],
     "integral-table-n-10**400": ["integral-table", "--n", str(10**400)],
     # in-process only: an OS argv cannot carry NUL
@@ -259,7 +260,8 @@ def test_reused_parser_keeps_no_state(capsys):
 
 # runs cli.main(argv) with stderr discarded, prints the exit code and
 # whether numpy and fractions were imported, then the command's stdout;
-# no argv means `import duval_kind` alone
+# no argv means `import duval_kind` alone, with the names of the
+# duval_kind submodules it loaded as stdout
 FRESH_INTERPRETER = """
 import contextlib, io, sys
 import duval_kind
@@ -268,6 +270,8 @@ if sys.argv[1:]:
     import duval_kind.cli as cli
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(sys.argv[1:])
+else:
+    out.write(" ".join(m for m in sys.modules if m.startswith("duval_kind.")))
 print(code, "numpy" in sys.modules, "fractions" in sys.modules)
 print(out.getvalue(), end="")
 """
@@ -323,9 +327,10 @@ def test_numpy_loads_only_for_an_integral(tmp_path, case):
             "edges": [{"a": 0, "b": 1}, {"a": 1, "b": 2}],
         }))
         argv = [str(path) if a == "GRAPH" else a for a in argv]
-    code, numpy_loaded, fractions_loaded, _ = run_fresh(argv)
+    code, numpy_loaded, fractions_loaded, out = run_fresh(argv)
     if not argv:
         assert code is None
+        assert out == ""  # the package root imports no submodule
     elif argv[0] == "integral-table" and case in NUMPY_FREE:
         assert code == EXIT_USAGE  # the argument checks precede the kernel import
     else:

@@ -8,11 +8,14 @@ from duval_kind.models import (
     CoveringMap,
     covering_image,
     duval_equation,
-    pullback_residue_density,
     solve_on_hypersurface,
 )
 from duval_kind.poly import differentiate, evaluate, gradient_vanishes, parse_polynomial
-from oracles import ambient_norm_squared_pullback, log_ambient_norm_squared_pullback
+from oracles import (
+    ambient_norm_squared_pullback,
+    log_ambient_norm_squared_pullback,
+    pullback_residue_density,
+)
 
 ALL_GERMS = (
     [("A", n) for n in range(1, 13)]

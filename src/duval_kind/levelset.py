@@ -1,5 +1,5 @@
 """The numpy kernel of the level-set quadrature: adaptive G7/K15 and the
-level coordinates (s, psi) of the A_n integrands.
+psi-form of the A_n integrands.
 
 Both integrals run on one adaptive Gauss-Kronrod kernel (G7/K15,
 QUADPACK, Piessens et al. 1983), vectorised over the nodes of all
@@ -8,8 +8,17 @@ panels of a family of integrals.  A panel's error estimate is
 errors of nested inner integrals weighted by the outer rule.  Each
 integral of a family keeps its own tolerance, panel count and budget,
 so it refines as it would alone: `annulus_bands` computes all bands
-I~_k of a table in one family (its inner d-integrals, one per level,
-are a second family), while `level_area` is a family of one.
+I~_k of a table in one family (its inner integrals, one per level, are a
+second family), while `level_norm` is a family of one.
+
+Along a level l the integrands are written in psi (see `quadrature` for
+the derivation): `_level_psi0` solves the level equation at d = 0 for
+psi0, and `_psi_integral` returns int_{psi0}^inf sigma(-psi)
+(a + b sigma(psi)) coth y dpsi as its closed-form part
+a softplus(-psi0) + b sigma(-psi0) plus the excess coth y - 1,
+integrated in v = sqrt(psi - psi0) up to the cut _V_CUT that `tail_bound`
+bounds.  Only psi0 needs Newton, once per level; no solve runs per
+inner node.
 
 The functions here return the kernel's raw (value, error, panels), as
 arrays with one entry per band for `annulus_bands`; `quadrature` checks
@@ -56,8 +65,10 @@ _WK = np.array(list(_WK_HALF) + [_WK_CENTER] + list(reversed(_WK_HALF)))
 _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 
 _ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
-# the d-axis is cut at d* + TAIL; the dropped tail is below e^{-2 TAIL}
-TAIL = 40.0
+# the v-axis is cut at _V_CUT; tail_bound bounds what the cut drops
+_V_CUT = 6.0
+_V_POINTS = np.array([0.0, 1.0, _V_CUT])
+_LOG_2 = math.log(2.0)
 # nested inner integrals get this share of the relative tolerance
 _INNER_SHARE = 0.1
 _NEWTON_STEPS = 60
@@ -148,60 +159,80 @@ def _softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _level_s(n: int, ell, d):
-    """s solving 2s + softplus(psi) = ell, psi = (n-1)s + log 2cosh((n+1)d).
+def _level_psi0(n: int, ell):
+    """psi at d = 0 on the level L = ell, one root per entry of ell.
 
-    Returns (s, psi).  The left side is convex and increasing in s with
-    slope in [2, n+1], and softplus(x) >= max(x, 0) puts the start
-    min(ell/2, (ell - log 2cosh((n+1)d))/(n+1)) right of the root, so
-    Newton decreases monotonically onto it.
+    At d = 0 the level equation reads f(psi) = psi + (n-1)(softplus(psi)
+    - ell)/2 - log 2 = 0.  f is convex and increasing with slope in
+    [1, (n+1)/2], and f = (n-1) softplus / 2 >= 0 at the start
+    log 2 + (n-1) ell / 2, so Newton decreases monotonically onto the
+    root; for n = 1 the start is the root.
     """
-    y = (n + 1) * np.abs(d)
-    log_2cosh = y + np.log1p(np.exp(-2.0 * y))
+    half = 0.5 * (n - 1)
+    psi = _LOG_2 + half * ell
     if n == 1:
-        s = 0.5 * (ell - _softplus(log_2cosh))
-        return s, log_2cosh
-    s = np.minimum(0.5 * ell, (ell - log_2cosh) / (n + 1))
-    # rounding noise of the residual 2s + softplus(psi) - ell; the root is
-    # within log(2)/2 of the start
-    tol = 4.0 * np.finfo(float).eps * (np.abs(ell) + (n + 1) * (np.abs(s) + 1.0) + log_2cosh)
+        return psi
+    # rounding noise of the residual f, over its least slope 1
+    tol = 4.0 * np.finfo(float).eps * (np.abs(psi) + half * np.abs(ell) + 1.0)
     for _ in range(_NEWTON_STEPS):
-        psi = (n - 1) * s + log_2cosh
         sp = _softplus(psi)
-        step = (2.0 * s + sp - ell) / (2.0 + (n - 1) * np.exp(psi - sp))
-        s = s - step
+        step = (psi + half * (sp - ell) - _LOG_2) / (1.0 + half * np.exp(psi - sp))
+        psi = psi - step
         if np.all(np.abs(step) <= tol):
-            return s, (n - 1) * s + log_2cosh
-    raise ArithmeticError(f"Newton for the level s did not converge in {_NEWTON_STEPS} steps")
+            return psi
+    raise ArithmeticError(f"Newton for the level psi did not converge in {_NEWTON_STEPS} steps")
 
 
-def _d_points(n: int, ell):
-    """Breakpoints 0, d*-10, d*+10, d*+40 in d for each level ell."""
-    d_star = (n - 1) * np.abs(ell) / (2.0 * (n + 1))
-    zero = np.zeros_like(d_star)
-    return np.stack(
-        [zero, np.maximum(d_star - 10.0, 0.0), d_star + 10.0, d_star + TAIL], axis=-1
-    )
+def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float, max_panels: int):
+    """int_{psi0}^inf sigma(-psi) (a + b sigma(psi)) coth y dpsi for each
+    entry of psi0, as one family: arrays (values, errors, panels).
+
+    The coth y = 1 part is a softplus(-psi0) + b sigma(-psi0) in closed
+    form; the excess coth y - 1 is integrated in v = sqrt(psi - psi0) on
+    the breakpoints 0, 1, _V_CUT, where cosh y = e^delta with
+    delta = v^2 + (n-1)/2 log1p(sigma(psi0) expm1(v^2)).
+    """
+    p = np.exp(psi0 - _softplus(psi0))
+    half = 0.5 * (n - 1)
+
+    def excess(v, rows):
+        w = v * v
+        psi = psi0[rows] + w
+        sp = _softplus(psi)
+        delta = w + half * np.log1p(p[rows] * np.expm1(w))
+        # coth y - 1 = 1/sqrt(q) - 1 with q = 1 - e^{-2 delta}, free of cancellation
+        root_q = np.sqrt(-np.expm1(-2.0 * delta))
+        weight = a + b * np.exp(psi - sp)
+        return 2.0 * v * weight * np.exp(-sp - 2.0 * delta) / (root_q * (1.0 + root_q)), 0.0, 0
+
+    points = np.broadcast_to(_V_POINTS, (len(psi0), len(_V_POINTS)))
+    values, errors, panels = _gauss_kronrod(excess, points, rel_tol, max_panels)
+    main = a * _softplus(-psi0) + b * np.exp(-_softplus(psi0))
+    return main + values, errors + _ROUNDOFF_FLOOR * main, panels
 
 
-# -- the two integrands ----------------------------------------------------------
+def tail_bound(a: float, b: float) -> float:
+    """Bound on what the cut at v = _V_CUT drops from _psi_integral(.., a, b, ..).
+
+    delta >= v^2 and coth y - 1 <= 1/(e^{2 delta} - 1), and the weight
+    sigma(-psi)(a + b sigma(psi)) is at most a + b/4, so the dropped part is
+    below (a + b/4) int_V^inf 2v e^{-2v^2} dv / (1 - e^{-2V^2})."""
+    cut = math.exp(-2.0 * _V_CUT**2)
+    return (a + 0.25 * b) * cut / (2.0 * (1.0 - cut))
+
+
+# -- the two integrals -----------------------------------------------------------
 
 def annulus_bands(n: int, ks, rel_tol: float, max_panels: int):
-    """int over the band -2e^{k+1} < ell < -2e^k of dell / ell^2
-    int_0^{d*+TAIL} sigma(-psi) / (dL/ds) dd for each k in ks, one family
-    with a row per band: arrays (values, errors, panels)."""
+    """int over the band -2e^{k+1} < ell < -2e^k of
+    int_{psi0(ell)}^inf sigma(-psi) coth y dpsi dell / ell^2 for each k in
+    ks, one family with a row per band: arrays (values, errors, panels)."""
 
     def level_density(ell, rows):
-        """int_0^inf sigma(-psi) / (dL/ds) dd / ell^2 at each level ell."""
+        """int_{psi0}^inf sigma(-psi) coth y dpsi / ell^2 at each level ell."""
         flat = ell.ravel()
-
-        def slice_density(d, level_rows):
-            _, psi = _level_s(n, flat[level_rows], d)
-            sp = _softplus(psi)
-            return np.exp(-sp) / (2.0 + (n - 1) * np.exp(psi - sp)), 0.0, 0
-
-        inner, inner_err, panels = _gauss_kronrod(
-            slice_density, _d_points(n, flat), _INNER_SHARE * rel_tol, max_panels
+        inner, inner_err, panels = _psi_integral(
+            n, _level_psi0(n, flat), 1.0, 0.0, _INNER_SHARE * rel_tol, max_panels
         )
         weight = 1.0 / (flat * flat)
         return (
@@ -214,15 +245,9 @@ def annulus_bands(n: int, ks, rel_tol: float, max_panels: int):
     return _gauss_kronrod(level_density, bands, rel_tol, max_panels)
 
 
-def level_area(n: int, level: float, rel_tol: float, max_panels: int):
-    """int_0^{d*+TAIL} e^{2 s*(d)} dd, s*(d) the level s of L = level:
-    (value, error, panels)."""
-
-    def density(d, rows):
-        s, _ = _level_s(n, level, d)
-        return np.exp(2.0 * s), 0.0, 0
-
-    value, error, panels = _gauss_kronrod(
-        density, _d_points(n, np.array([level])), rel_tol, max_panels
-    )
+def level_norm(n: int, level: float, rel_tol: float, max_panels: int):
+    """int_{psi0}^inf sigma(-psi) (2 + (n-1) sigma(psi)) coth y dpsi on the
+    level L = level: (value, error, panels)."""
+    psi0 = _level_psi0(n, np.array([level]))
+    value, error, panels = _psi_integral(n, psi0, 2.0, n - 1.0, rel_tol, max_panels)
     return value[0], error[0], panels[0]

@@ -17,12 +17,38 @@ indicator:
                     int_0^inf sigma(-psi) / (2 + (n-1) sigma(psi)) dd,
     ||omega||^2 = 2 pi^2 (n+1) int_0^inf e^{2 s*(d)} dd,
 
-with s*(d) the level s at l = 2 log eps (the inner s-integral of
-e^{2s} is exact).  The d-integrands are smooth: about 1/2 (resp.
-eps^2) below the corner d* = (n-1)|l| / (2(n+1)), where
-psi = 0, and decaying like e^{-2(d-d*)} beyond it, because
-softplus(psi) >= 2(d - d*).  The d-axis is cut at d* + 40 and the
-dropped tail is bounded in closed form.
+with s*(d) the level s at l = 2 log eps (the inner s-integral of e^{2s}
+is exact), so e^{2 s*} = eps^2 sigma(-psi).
+
+The psi-form.  On a level l both s = (l - softplus psi)/2 and, with
+y = (n+1)d, log 2cosh y = psi + (n-1)(softplus psi - l)/2 are explicit in
+psi, which rises with d from psi0, its root at d = 0 (log 2cosh y =
+log 2), to infinity.  Then dd = (2 + (n-1) sigma(psi)) dpsi /
+(2(n+1) tanh y), and writing coth y = 1 + (coth y - 1) the part with 1
+integrates in closed form (sigma' = sigma(psi) sigma(-psi)):
+
+    int_0^inf sigma(-psi) / (2 + (n-1) sigma(psi)) dd
+        = [softplus(-psi0) + C(psi0)] / (2(n+1)),
+    ||omega||^2 = pi^2 eps^2 [2 softplus(-psi0) + (n-1) sigma(-psi0) + C'(psi0)],
+
+where C and C' integrate the excess coth y - 1 over psi > psi0 against
+sigma(-psi) and sigma(-psi)(2 + (n-1) sigma(psi)).  The d-form's corner
+at d* = (n-1)|l| / (2(n+1)), where the integrands turn within about
+40/(n+1), lies inside the closed-form softplus; only the excess is left
+to the adaptive rule.  With cosh y = e^delta,
+
+    delta = v^2 + (n-1)/2 log1p(sigma(psi0) expm1(v^2)),  psi = psi0 + v^2,
+
+the excess is 1/sqrt(1 - e^{-2 delta}) - 1.  It has an inverse square
+root at psi = psi0, which the substitution v = sqrt(psi - psi0)
+(dpsi = 2v dv) removes: the v-integrand is smooth and bounded, and is
+integrated on the breakpoints 0, 1, V = 6.  Since delta >= v^2 the
+excess is at most 1/(e^{2v^2} - 1), and a weight sigma(-psi)(a + b
+sigma(psi)) is at most a + b/4, so the cut at V drops at most
+(a + b/4) e^{-2V^2} / (2(1 - e^{-2V^2})); the truncation bounds below are
+this, scaled.  The only level-equation solve is psi0, one Newton per
+level; for n = 1, psi0 = log 2.  The closed-form part adds 50 eps_mach
+of itself to the error estimate, for the rounding of psi0 and softplus.
 
 The G7/K15 kernel and the level coordinates live in `levelset`, the one
 module of the package that uses numpy.  `integral_Ik_bands` and
@@ -118,14 +144,12 @@ def integral_Ik_bands(
     from . import levelset
 
     values, errors, panels = levelset.annulus_bands(n, checked, rel_tol, max_cells)
+    scale = TWO_PI_SQ / (2.0 * (n + 1))
     results = []
     for k, value, error, count in zip(checked, values, errors, panels):
-        # sigma(-psi) = e^{-softplus(psi)} <= e^{-2(d - d*)}, and dL/ds >= 2
-        tail = (
-            TWO_PI_SQ * math.exp(-2.0 * levelset.TAIL) * (1.0 - math.exp(-1.0))
-            / (8.0 * math.exp(k))
-        )
-        results.append(_checked(value, error, count, TWO_PI_SQ, tail, rel_tol, max_cells))
+        # the cut's bound at each level, times int_band dl / l^2
+        tail = scale * levelset.tail_bound(1.0, 0.0) * (1.0 - math.exp(-1.0)) / (2.0 * math.exp(k))
+        results.append(_checked(value, error, count, scale, tail, rel_tol, max_cells))
     return tuple(results)
 
 
@@ -147,10 +171,9 @@ def structure_form_l2_norm(
 
     from . import levelset
 
-    value, error, panels = levelset.level_area(n, 2.0 * math.log(eps), rel_tol, max_cells)
-    scale = 2.0 * math.pi**2 * (n + 1)
-    # e^{2 s*} = eps^2 e^{-softplus(psi)} <= eps^2 e^{-2(d - d*)}
-    tail = scale * eps**2 * math.exp(-2.0 * levelset.TAIL) / 2.0
+    value, error, panels = levelset.level_norm(n, 2.0 * math.log(eps), rel_tol, max_cells)
+    scale = math.pi**2 * eps**2
+    tail = scale * levelset.tail_bound(2.0, n - 1.0)
     return _checked(value, error, panels, scale, tail, rel_tol, max_cells)
 
 

@@ -10,8 +10,11 @@ coefficient box instead of running Laufer's algorithm,
 eliminating, and the Monte Carlo estimators sample the original
 coordinates instead of integrating over level sets, evaluating the
 squared ambient norm of the A_n covering image directly or by
-log-sum-exp.  `adaptive_1d` runs the product's G7/K15 kernel on a plain
-1-D integrand, for drills against closed forms.  `dominating_integral`
+log-sum-exp.  `level_s` solves the level equation in the d-form by
+Newton, and `structure_form_reference` integrates ||omega||^2 with it on
+a fixed Gauss-Legendre composite in d.  `adaptive_1d` runs the
+product's G7/K15 kernel on a plain 1-D integrand, for drills against
+closed forms.  `dominating_integral`
 sums the annulus integrals I~_1..I~_k_max of one band family, and
 `pullback_residue_density` is the constant density (n+1)^2 of the
 pulled-back structure form.
@@ -19,6 +22,7 @@ pulled-back structure form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -333,6 +337,71 @@ def adaptive_1d(f, a: float, b: float, rel_tol: float, max_intervals: int = 100_
     if not error <= rel_tol * abs(value):
         raise ArithmeticError(f"{max_intervals} panels did not reach rel_tol {rel_tol}")
     return float(value), float(error)
+
+
+# -- the d-form level solver and a fixed-panel reference for ||omega||^2 ------------
+
+_NEWTON_STEPS = 60
+
+
+def level_s(n: int, ell, d):
+    """s solving 2s + softplus(psi) = ell, psi = (n-1)s + log 2cosh((n+1)d).
+
+    Returns (s, psi).  The left side is convex and increasing in s with
+    slope in [2, n+1], and softplus(x) >= max(x, 0) puts the start
+    min(ell/2, (ell - log 2cosh((n+1)d))/(n+1)) right of the root, so
+    Newton decreases monotonically onto it.
+    """
+    y = (n + 1) * np.abs(d)
+    log_2cosh = y + np.log1p(np.exp(-2.0 * y))
+    if n == 1:
+        s = 0.5 * (ell - np.logaddexp(0.0, log_2cosh))
+        return s, log_2cosh
+    s = np.minimum(0.5 * ell, (ell - log_2cosh) / (n + 1))
+    # rounding noise of the residual 2s + softplus(psi) - ell; the root is
+    # within log(2)/2 of the start
+    tol = 4.0 * np.finfo(float).eps * (np.abs(ell) + (n + 1) * (np.abs(s) + 1.0) + log_2cosh)
+    for _ in range(_NEWTON_STEPS):
+        psi = (n - 1) * s + log_2cosh
+        sp = np.logaddexp(0.0, psi)
+        step = (2.0 * s + sp - ell) / (2.0 + (n - 1) * np.exp(psi - sp))
+        s = s - step
+        if np.all(np.abs(step) <= tol):
+            return s, (n - 1) * s + log_2cosh
+    raise ArithmeticError(f"Newton for the level s did not converge in {_NEWTON_STEPS} steps")
+
+
+@functools.cache
+def structure_form_reference(n: int, eps: float, panels: int = 256) -> tuple[float, float]:
+    """(value, uncertainty) of ||omega||^2 = 2 pi^2 (n+1) int_0^{d*+40}
+    e^{2 s*(d)} dd, s*(d) the level s of L = 2 log eps, by 20-point
+    Gauss-Legendre on a fixed composite in d: `panels` equal panels between
+    each pair of the breakpoints 0, d*, d* +- 60/(n+1), d* +- 2 and d* + 40
+    (those below 0 dropped), d* = (n-1)|L| / (2(n+1)).  The integrand turns
+    within about 40/(n+1) left of the corner d* and decays like
+    e^{-2(d - d*)} right of it; the cut at d* + 40 drops below e^{-80} of
+    the value.  The uncertainty is the change from half the panels plus
+    8 ulps.  Neither the psi-form of the product nor its adaptive kernel
+    is used."""
+    ell = 2.0 * math.log(eps)
+    d_star = (n - 1) * abs(ell) / (2.0 * (n + 1))
+    fine = 60.0 / (n + 1)
+    cuts = sorted(
+        {0.0} | {x for x in (d_star - 2.0, d_star - fine, d_star) if x > 0.0}
+        | {d_star + fine, d_star + 2.0, d_star + 40.0}
+    )
+    x, w = np.polynomial.legendre.leggauss(20)
+
+    def composite(m):
+        edges = np.concatenate(
+            [np.linspace(lo, hi, m + 1)[:-1] for lo, hi in zip(cuts, cuts[1:])] + [cuts[-1:]]
+        )
+        half = 0.5 * np.diff(edges)[:, None]
+        s, _ = level_s(n, ell, 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x)
+        return 2.0 * math.pi**2 * (n + 1) * float(np.sum(half * np.exp(2.0 * s) * w))
+
+    value = composite(panels)
+    return value, abs(value - composite(panels // 2)) + 8.0 * np.finfo(float).eps * value
 
 
 # -- sums and densities over the A_n covering ---------------------------------

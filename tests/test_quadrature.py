@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from duval_kind.levelset import _WG, _WK, _XK, _level_s
+from duval_kind.levelset import _WG, _WK, _XK, _level_psi0, _psi_integral
 from duval_kind.quadrature import (
     QuadratureBudgetError,
     QuadratureRangeError,
@@ -12,7 +12,14 @@ from duval_kind.quadrature import (
     structure_form_l2_norm,
     weighted_graph_norm_defect,
 )
-from oracles import adaptive_1d, dominating_integral, monte_carlo_Ik, monte_carlo_l2_norm
+from oracles import (
+    adaptive_1d,
+    dominating_integral,
+    level_s,
+    monte_carlo_Ik,
+    monte_carlo_l2_norm,
+    structure_form_reference,
+)
 
 # Diagonal-slice drill: on rho1 = rho2 = rho with n = 1 the squared norm
 # is 3 rho^4, and in v = log rho the radial integrand becomes
@@ -237,7 +244,7 @@ def test_structure_form_l2_norm_small_radii():
     [
         lambda: integral_Ik(2, 1, 1e-8, max_cells=50),
         lambda: integral_Ik_bands(2, (1, 2), 1e-8, max_cells=50),
-        lambda: structure_form_l2_norm(3, 0.01, 1e-8, max_cells=5),
+        lambda: structure_form_l2_norm(3, 0.01, 1e-8, max_cells=2),
     ],
 )
 def test_budget_exhaustion_carries_finite_partial(call):
@@ -255,8 +262,59 @@ def test_level_s_solves_the_level_equation(n):
     # the corner region to far beyond d* = (n-1)|ell| / (2(n+1))
     ell = np.array([-0.5, -2.0, -30.0, -300.0])[:, None]
     d = np.linspace(0.0, 200.0, 401)[None, :]
-    s, psi = _level_s(n, ell, d)
+    s, psi = level_s(n, ell, d)
     log_2cosh = np.logaddexp((n + 1) * d, -(n + 1) * d)
     assert np.allclose(psi, (n - 1) * s + log_2cosh, rtol=0.0, atol=1e-12 * (1 + np.abs(psi)).max())
     residual = 2.0 * s + np.logaddexp(0.0, psi) - ell
     assert np.all(np.abs(residual) <= 1e-13 * (np.abs(ell) + (n + 1) * np.abs(s) + 1.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 10**6, 2**53])
+def test_level_psi0_solves_the_level_equation_at_d0(n):
+    # psi + (n-1)(softplus(psi) - ell)/2 = log 2cosh(0) = log 2
+    ell = np.array([-0.5, -1.4, -2.0, -5.4, -30.0, -300.0])
+    psi0 = _level_psi0(n, ell)
+    half = 0.5 * (n - 1)
+    sp = np.logaddexp(0.0, psi0)
+    residual = psi0 + half * (sp - ell) - math.log(2.0)
+    scale = np.abs(psi0) + half * (sp + np.abs(ell)) + 1.0
+    assert np.all(np.abs(residual) <= 8.0 * np.finfo(float).eps * scale)
+
+
+def test_psi_integral_closed_forms():
+    # n = 1: psi0 = log 2 and int_{log 2}^inf sigma(-psi) coth y dpsi
+    # = log(3/2) + C with C = pi/(3 sqrt 3) - log(3/2)
+    (value,), _, _ = _psi_integral(1, np.array([math.log(2.0)]), 1.0, 0.0, 1e-12, 10**4)
+    assert value == pytest.approx(math.pi / (3.0 * math.sqrt(3.0)), rel=4e-16, abs=0.0)
+    # psi0 -> -inf: sigma(-psi) -> 1, delta -> v^2 and C -> int_0^inf
+    # (1 - tanh y) dy = log 2; at psi0 = -60 both limits hold to e^{-40}
+    (value,), _, _ = _psi_integral(5, np.array([-60.0]), 1.0, 0.0, 1e-12, 10**4)
+    assert value - 60.0 == pytest.approx(math.log(2.0), abs=2.0 * math.ulp(value))
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000, 10**4, 10**6])
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+def test_Ik_large_n_matches_the_limit(n, tol):
+    # I~_k = pi^2 (n-1)/(n+1) + R_k with R_k <= e^{(n-1) l}, l <= -2e on
+    # every band, so from n = 10 on R_k is below an ulp of the limit
+    limit = math.pi**2 * (n - 1) / (n + 1)
+    for row in integral_Ik_bands(n, (1, 2, 3, 4), tol):
+        assert abs(row.value - limit) <= row.error_estimate + row.truncation_bound
+        assert row.error_estimate <= tol * row.value
+
+
+NORM_RADII = (1e-3, 0.01, 0.05, 0.1, 0.2, 0.44296749804716234, 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 100, 1000, 10**6])
+def test_structure_form_l2_norm_matches_fixed_panel_reference(n):
+    # (2, 0.44296749804716234) at tol 1e-4 once fell below the reference by
+    # more than its two-panel error estimate
+    for eps in NORM_RADII:
+        reference, uncertainty = structure_form_reference(n, eps)
+        assert uncertainty <= 1e-11 * reference
+        for tol in (1e-2, 1e-4, 1e-6, 1e-8):
+            got = structure_form_l2_norm(n, eps, tol)
+            slack = got.error_estimate + got.truncation_bound + uncertainty
+            assert abs(got.value - reference) <= slack, (eps, tol)
+            assert got.error_estimate <= tol * got.value

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from .cycles import Cycle, CycleError, fundamental_cycle, is_reduced
 from .dual_graph import DualGraph, ParameterError, build_dynkin
 from .quadrature import (
+    check_tol,
     defect_bound,
     integral_Ik,  # noqa: F401 (span point of bench/tracing.py)
     integral_Ik_bands,
@@ -130,6 +131,8 @@ def classify(
     """Kind verdict for the du Val singularity of the given ADE type: the
     classify_graph verdict on its Dynkin graph, plus the A-series integral
     table or the D/E note when numerics are asked for."""
+    if with_numerics:
+        check_tol(rel_tol)  # for every type, though only A computes integrals
     type_ = type_.upper()
     report = classify_graph(build_dynkin(type_, n), label=f"{type_}{n}")
     if not with_numerics:

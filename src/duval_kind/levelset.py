@@ -9,16 +9,20 @@ errors of nested inner integrals weighted by the outer rule.  Each
 integral of a family keeps its own tolerance, panel count and budget,
 so it refines as it would alone: `annulus_bands` computes all bands
 I~_k of a table in one family (its inner integrals, one per level, are a
-second family), while `level_norm` is a family of one.
+second family), while `level_norm` is a family of one.  An integral
+without nested ones never passes its budget; a nested one can pass it
+within a round, whose inner panels are counted only once evaluated.
 
 Along a level l the integrands are written in psi (see `quadrature` for
 the derivation): `_level_psi0` solves the level equation at d = 0 for
 psi0, and `_psi_integral` returns int_{psi0}^inf sigma(-psi)
 (a + b sigma(psi)) coth y dpsi as its closed-form part
 a softplus(-psi0) + b sigma(-psi0) plus the excess coth y - 1,
-integrated in v = sqrt(psi - psi0) up to the cut _V_CUT that `tail_bound`
-bounds.  Only psi0 needs Newton, once per level; no solve runs per
-inner node.
+integrated in v = sqrt(psi - psi0) on the breakpoints 0, 1, 2, _V_CUT,
+where `tail_bound` bounds what the cut drops.  Only psi0 needs Newton,
+once per level; no solve runs per inner node.  At rel_tol 1e-4 every
+level converges on these four points, so a table costs two kernel
+rounds (its bands, then all their levels at once) and a norm one.
 
 The functions here return the kernel's raw (value, error, panels), as
 arrays with one entry per band for `annulus_bands`; `quadrature` checks
@@ -67,7 +71,7 @@ _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 _ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 # the v-axis is cut at _V_CUT; tail_bound bounds what the cut drops
 _V_CUT = 6.0
-_V_POINTS = np.array([0.0, 1.0, _V_CUT])
+_V_POINTS = np.array([0.0, 1.0, 2.0, _V_CUT])
 _LOG_2 = math.log(2.0)
 # nested inner integrals get this share of the relative tolerance
 _INNER_SHARE = 0.1
@@ -79,19 +83,20 @@ _NEWTON_STEPS = 60
 def _kronrod(f, lo, hi, rows, m):
     """K15 values and error estimates of the panels [lo, hi] of integrals rows,
     plus the panels nested integrals in f evaluated, per integral (0 when f
-    reports none)."""
+    reports none).  f sees the nodes, one row of 15 per panel, and rows
+    itself, one entry per panel."""
     half = 0.5 * (hi - lo)
     x = 0.5 * (hi + lo)[:, None] + half[:, None] * _XK
-    node_rows = np.broadcast_to(rows[:, None], x.shape)
-    fx, node_err, inner_panels = f(x, node_rows)
+    fx, node_err, inner_panels = f(x, rows)
     kronrod = half * (fx @ _WK)
     gauss = half * (fx[:, 1::2] @ _WG)
     width = np.abs(half)
     floor = _ROUNDOFF_FLOOR * width * (np.abs(fx) @ _WK)
     err = np.maximum(np.abs(kronrod - gauss), floor)
-    err = err + width * (np.broadcast_to(node_err, fx.shape) @ _WK)
+    if isinstance(node_err, np.ndarray):
+        err = err + width * (node_err @ _WK)
     if isinstance(inner_panels, np.ndarray):
-        inner_panels = np.bincount(node_rows.ravel(), inner_panels.ravel(), m)
+        inner_panels = np.bincount(rows, inner_panels.sum(axis=1), m)
     return kronrod, err, inner_panels
 
 
@@ -106,14 +111,18 @@ def _gauss_kronrod(f, points, rel_tol, max_panels):
 
     points: array (m, p) of breakpoints per integral; panels of zero width
     are dropped.  f(x, rows) returns (values, node errors, inner panels)
-    for node array x and same-shaped row indices; inner panels is 0, or
-    the panels a nested integral evaluated at each node.  Every panel of
-    an integral whose error exceeds its tolerance rel_tol |value| bisects
-    while its own error exceeds that tolerance's equal share per panel.
-    Each integral stops when it meets its tolerance or has evaluated
-    max_panels panels, its own and those of its nested integrals, so it
-    refines as it would alone.  Returns arrays (values, errors, panels),
-    one entry per integral.
+    for the node array x, shape (P, 15), of P panels and their integrals
+    rows, shape (P,); node errors and inner panels are 0, or arrays shaped
+    like x holding the errors of nested integrals and the panels they
+    evaluated at each node.  Every panel of an integral whose error
+    exceeds its tolerance rel_tol |value| bisects while its own error
+    exceeds that tolerance's equal share per panel.  Each integral stops
+    when it meets its tolerance or has evaluated max_panels panels, its
+    own and those of its nested integrals, so it refines as it would
+    alone.  An integral without nested ones also stops, short of its
+    tolerance, before a round of splits that would carry it past
+    max_panels.  Returns arrays (values, errors, panels), one entry per
+    integral.
     """
     m = points.shape[0]
     lo, hi = points[:, :-1].ravel(), points[:, 1:].ravel()
@@ -136,12 +145,21 @@ def _gauss_kronrod(f, points, rel_tol, max_panels):
             return value, error, _panels(rows, initial, inner, m)
         share = tol / np.bincount(rows, minlength=m)
         split = unmet[rows] & (err > share[rows])
+        new_count = 2 * np.count_nonzero(split)
+        if not nested and spent + new_count > max_panels:
+            # an integral without nested ones stops short of a round of
+            # splits, two panels each, that would pass its budget
+            over = _panels(rows, initial, 0, m) + 2 * np.bincount(rows[split], minlength=m)
+            split &= (over <= max_panels)[rows]
+            new_count = 2 * np.count_nonzero(split)
+            if not new_count:
+                return value, error, _panels(rows, initial, inner, m)
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
         new_rows = np.tile(rows[split], 2)
         new_val, new_err, new_inner = _kronrod(f, new_lo, new_hi, new_rows, m)
-        spent += len(new_lo)
+        spent += new_count
         if nested:
             inner = inner + new_inner
             spent += new_inner.sum()
@@ -189,17 +207,19 @@ def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float, max_panels: 
 
     The coth y = 1 part is a softplus(-psi0) + b sigma(-psi0) in closed
     form; the excess coth y - 1 is integrated in v = sqrt(psi - psi0) on
-    the breakpoints 0, 1, _V_CUT, where cosh y = e^delta with
-    delta = v^2 + (n-1)/2 log1p(sigma(psi0) expm1(v^2)).
+    the breakpoints 0, 1, 2, _V_CUT, where cosh y = e^delta with
+    delta = v^2 + (n-1)/2 log1p(sigma(psi0) expm1(v^2)).  The excess
+    falls as e^{-2 delta} <= e^{-2v^2}: with 2 a breakpoint, every panel
+    resolves it at rel_tol 1e-4 without a split, for n up to 2^53.
     """
     p = np.exp(psi0 - _softplus(psi0))
     half = 0.5 * (n - 1)
 
     def excess(v, rows):
         w = v * v
-        psi = psi0[rows] + w
+        psi = psi0[rows, None] + w
         sp = _softplus(psi)
-        delta = w + half * np.log1p(p[rows] * np.expm1(w))
+        delta = w + half * np.log1p(p[rows, None] * np.expm1(w))
         # coth y - 1 = 1/sqrt(q) - 1 with q = 1 - e^{-2 delta}, free of cancellation
         root_q = np.sqrt(-np.expm1(-2.0 * delta))
         weight = a + b * np.exp(psi - sp)

@@ -42,7 +42,7 @@ to the adaptive rule.  With cosh y = e^delta,
 the excess is 1/sqrt(1 - e^{-2 delta}) - 1.  It has an inverse square
 root at psi = psi0, which the substitution v = sqrt(psi - psi0)
 (dpsi = 2v dv) removes: the v-integrand is smooth and bounded, and is
-integrated on the breakpoints 0, 1, V = 6.  Since delta >= v^2 the
+integrated on the breakpoints 0, 1, 2 and V = 6.  Since delta >= v^2 the
 excess is at most 1/(e^{2v^2} - 1), and a weight sigma(-psi)(a + b
 sigma(psi)) is at most a + b/4, so the cut at V drops at most
 (a + b/4) e^{-2V^2} / (2(1 - e^{-2V^2})); the truncation bounds below are
@@ -121,7 +121,7 @@ def _check_n(n: int) -> None:
         raise QuadratureRangeError(f"n must be in 1..2**53 (binary64 regime), got {n}")
 
 
-def _check_tol(rel_tol: float) -> None:
+def check_tol(rel_tol: float) -> None:
     if not (math.isfinite(rel_tol) and rel_tol >= 1e-8):
         raise QuadratureRangeError(f"rel_tol must be finite and >= 1e-8, got {rel_tol}")
 
@@ -139,7 +139,7 @@ def integral_Ik_bands(
         checked.append(k)
     if not checked:
         raise QuadratureRangeError("need at least one k in 1..4, got none")
-    _check_tol(rel_tol)
+    check_tol(rel_tol)
 
     from . import levelset
 
@@ -167,7 +167,7 @@ def structure_form_l2_norm(
     _check_n(n)
     if not 0 < eps <= 0.5:
         raise QuadratureRangeError(f"eps must be in (0, 1/2], got {eps}")
-    _check_tol(rel_tol)
+    check_tol(rel_tol)
 
     from . import levelset
 

@@ -210,6 +210,8 @@ MALFORMED_ARGV = {
     "integral-table-kmax-10**18": ["integral-table", "--n", "2", "--kmax", str(10**18)],
     "integral-table-n-above-2**53": ["integral-table", "--n", str(2**53 + 1)],
     "integral-table-n-10**400": ["integral-table", "--n", str(10**400)],
+    "classify-D-tol-nan": ["classify", "D", "4", "--numerics", "--tol", "nan"],
+    "classify-E-tol-1e-9": ["classify", "E", "6", "--numerics", "--tol", "1e-9"],
     # in-process only: an OS argv cannot carry NUL
     "graph-path-with-nul": ["fundamental-cycle", "--graph", "a\x00b"],
 }
@@ -290,6 +292,8 @@ NUMPY_FREE = {
     "table-kmax-0": ["integral-table", "--n", "2", "--kmax", "0"],
     "table-kmax-5": ["integral-table", "--n", "2", "--kmax", "5"],
     "table-type-d": ["integral-table", "--n", "2", "--type", "D"],
+    "classify-a2-tol-nan": ["classify", "A", "2", "--numerics", "--tol", "nan"],
+    "classify-d4-tol-nan": ["classify", "D", "4", "--numerics", "--tol", "nan"],
 }
 NUMPY_LOADING = {
     "table-n1-kmax1": ["integral-table", "--n", "1", "--kmax", "1"],
@@ -331,7 +335,7 @@ def test_numpy_loads_only_for_an_integral(tmp_path, case):
     if not argv:
         assert code is None
         assert out == ""  # the package root imports no submodule
-    elif argv[0] == "integral-table" and case in NUMPY_FREE:
+    elif case in NUMPY_FREE and (argv[0] == "integral-table" or "nan" in argv):
         assert code == EXIT_USAGE  # the argument checks precede the kernel import
     else:
         assert code == EXIT_OK

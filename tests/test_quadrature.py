@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from duval_kind import levelset
 from duval_kind.levelset import _WG, _WK, _XK, _level_psi0, _psi_integral
 from duval_kind.quadrature import (
     QuadratureBudgetError,
@@ -303,13 +304,18 @@ def test_Ik_large_n_matches_the_limit(n, tol):
         assert row.error_estimate <= tol * row.value
 
 
-NORM_RADII = (1e-3, 0.01, 0.05, 0.1, 0.2, 0.44296749804716234, 0.5)
+NORM_RADII = (
+    1e-3, 0.01, 0.02618803324854386, 0.05, 0.1, 0.14625625729010416, 0.2,
+    0.44296749804716234, 0.5,
+)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 100, 1000, 10**6])
 def test_structure_form_l2_norm_matches_fixed_panel_reference(n):
     # (2, 0.44296749804716234) at tol 1e-4 once fell below the reference by
-    # more than its two-panel error estimate
+    # more than its two-panel error estimate; (2, 0.02618803324854386) and
+    # (3, 0.14625625729010416) missed by 7.4x and 1.5x while the v-panel
+    # [1, 6] was split once
     for eps in NORM_RADII:
         reference, uncertainty = structure_form_reference(n, eps)
         assert uncertainty <= 1e-11 * reference
@@ -318,3 +324,43 @@ def test_structure_form_l2_norm_matches_fixed_panel_reference(n):
             slack = got.error_estimate + got.truncation_bound + uncertainty
             assert abs(got.value - reference) <= slack, (eps, tol)
             assert got.error_estimate <= tol * got.value
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_structure_form_l2_norm_radius_sweep(n):
+    # log-spaced radii find what a few chosen ones miss
+    for eps in np.geomspace(1e-3, 0.5, 60):
+        reference, uncertainty = structure_form_reference(n, float(eps))
+        got = structure_form_l2_norm(n, float(eps), 1e-4)
+        slack = got.error_estimate + got.truncation_bound + uncertainty
+        assert abs(got.value - reference) <= slack, eps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10**6])
+def test_levels_converge_in_one_kronrod_round(monkeypatch, n):
+    # on the breakpoints 0, 1, 2, 6 no v-panel of a level splits at 1e-4:
+    # a table is one round of bands and one of all their levels
+    calls = []
+    kronrod = levelset._kronrod
+    monkeypatch.setattr(levelset, "_kronrod", lambda *args: calls.append(1) or kronrod(*args))
+    integral_Ik_bands(n, (1, 2, 3, 4), 1e-4)
+    assert len(calls) == 2
+    for eps in (1e-3, 0.14625625729010416, 0.5):
+        calls.clear()
+        structure_form_l2_norm(n, eps, 1e-4)
+        assert len(calls) == 1, eps
+
+
+def test_max_cells_bounds_a_flat_family():
+    # a level needs 5 panels at 1e-8: from 3 initial ones, one split
+    # costs 2 panels, so a budget of 3 or 4 stops it short
+    outcomes = set()
+    for max_cells in range(3, 13):
+        try:
+            result = structure_form_l2_norm(2, 1e-3, 1e-8, max_cells=max_cells)
+            outcomes.add("met")
+        except QuadratureBudgetError as exc:
+            result = exc.partial
+            outcomes.add("partial")
+        assert result.subregions_used <= max_cells, max_cells
+    assert outcomes == {"met", "partial"}

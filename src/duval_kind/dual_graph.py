@@ -2,24 +2,28 @@
 
 Vertices are exceptional curves carrying self-intersection numbers,
 edges carry intersection multiplicities; the graph is the only
-representation of the form.  Negative definiteness is certified exactly
-by sparse symmetric elimination (LDL^T) in minimum-degree order, read
-straight from the weights and the edges, with every entry a rational held
-as a numerator and a positive denominator, Python ints in lowest terms.
-A symmetric permutation P A P^T is congruent to A, so any elimination
-order certifies definiteness, and on a tree (every ADE graph) each step
-eliminates a leaf and changes only its neighbour's diagonal.
+representation of the form, and `DualGraph` keeps its neighbour lists.
+Negative definiteness is certified by Laufer's cycle
+(`cycles.fundamental_cycle`), which tracks Z.Z as it runs.
+`is_negative_definite` is the exact fallback for graphs the loop does
+not settle within its step budget: sparse symmetric elimination (LDL^T)
+in minimum-degree order, read straight from the weights and the edges,
+with every entry a rational held as a numerator and a positive
+denominator, Python ints in lowest terms.  A symmetric permutation
+P A P^T is congruent to A, so any elimination order certifies
+definiteness, and on a tree (every ADE graph) each step eliminates a leaf
+and changes only its neighbour's diagonal.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Mapping, Sequence
 
-# Largest accepted graph: once fill appears, the certificate holds up to n^2
+# Largest accepted graph: once fill appears, the elimination holds up to n^2
 # entries and costs O(n^3) integer products and gcds, on integers that grow
 # with the eliminated minors.
 MAX_VERTICES = 1000
@@ -51,27 +55,32 @@ class DualGraph:
     vertex_count: int
     self_intersections: tuple[int, ...]
     edges: Mapping[tuple[int, int], int]  # key (i, j) with i < j, value >= 1
+    # neighbours[i] lists (j, multiplicity) for each edge at i; built once
+    # here and read by the connectivity check and by Laufer's loop
+    neighbours: list[list[tuple[int, int]]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         n = self.vertex_count
         if n < 1:
             raise GraphInvariantError("vertex_count_positive", f"got {n}")
         _check_vertex_bound(n)
-        object.__setattr__(
-            self, "self_intersections", tuple(int(w) for w in self.self_intersections)
-        )
-        if len(self.self_intersections) != n:
+        weights = tuple(map(int, self.self_intersections))
+        object.__setattr__(self, "self_intersections", weights)
+        if len(weights) != n:
             raise GraphInvariantError(
                 "self_intersections_length",
-                f"expected {n} entries, got {len(self.self_intersections)}",
+                f"expected {n} entries, got {len(weights)}",
             )
-        for i, w in enumerate(self.self_intersections):
-            if w > -1:
-                raise GraphInvariantError(
-                    "self_intersection_negative",
-                    f"vertex {i} has self-intersection {w} > -1",
-                )
+        if max(weights) > -1:
+            i, w = next((i, w) for i, w in enumerate(weights) if w > -1)
+            raise GraphInvariantError(
+                "self_intersection_negative",
+                f"vertex {i} has self-intersection {w} > -1",
+            )
         clean: dict[tuple[int, int], int] = {}
+        neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for (a, b), m in self.edges.items():
             a, b, m = int(a), int(b), int(m)
             if a == b:
@@ -84,31 +93,27 @@ class DualGraph:
                 raise GraphInvariantError(
                     "edge_multiplicity_positive", f"edge ({a},{b}) has multiplicity {m}"
                 )
-            key = (min(a, b), max(a, b))
+            key = (a, b) if a < b else (b, a)
             if key in clean:
                 raise GraphInvariantError("edge_unique", f"duplicate edge {key}")
             clean[key] = m
+            neighbours[a].append((b, m))
+            neighbours[b].append((a, m))
         object.__setattr__(self, "edges", clean)
-        if not self._connected():
-            raise GraphInvariantError("connected", "graph is not connected")
-
-    def _connected(self) -> bool:
-        n = self.vertex_count
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
+        object.__setattr__(self, "neighbours", neighbours)
+        seen = [False] * n
+        seen[0] = True
         stack = [0]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
+            for w, _ in neighbours[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
                     stack.append(w)
-        return len(seen) == n
+        if not all(seen):
+            raise GraphInvariantError("connected", "graph is not connected")
 
     def is_all_minus_two(self) -> bool:
-        return all(w == -2 for w in self.self_intersections)
+        return min(self.self_intersections) == -2 == max(self.self_intersections)
 
 
 def ade_type(type_: str, n: int) -> str:
@@ -223,15 +228,16 @@ def graph_to_dict(g: DualGraph) -> dict:
     }
 
 
-def _int_field(obj: dict, key: str, where: str, default: int | None = None) -> int:
+def _int_field(obj: dict, key: str, kind: str, index: int, default: int | None = None) -> int:
+    """obj[key] as an int; errors name the entry as f"{kind} {index}"."""
     value = obj.get(key, default)
+    if type(value) is int:  # rejects bool, float and str
+        return value
     if value is None:
-        raise GraphInvariantError("field_present", f"{where} has no {key!r}")
-    if type(value) is not int:  # rejects bool, float and str
-        raise GraphInvariantError(
-            "field_integer", f"{where} has {key!r} = {value!r}, expected an integer"
-        )
-    return value
+        raise GraphInvariantError("field_present", f"{kind} {index} has no {key!r}")
+    raise GraphInvariantError(
+        "field_integer", f"{kind} {index} has {key!r} = {value!r}, expected an integer"
+    )
 
 
 def graph_from_dict(doc: dict) -> DualGraph:
@@ -247,24 +253,23 @@ def graph_from_dict(doc: dict) -> DualGraph:
     for k, v in enumerate(vertices):
         if not isinstance(v, dict):
             raise GraphInvariantError("vertex_object", f"vertex entry {k} is {v!r}")
-    ids = [_int_field(v, "id", f"vertex entry {k}") for k, v in enumerate(vertices)]
+    ids = [_int_field(v, "id", "vertex entry", k) for k, v in enumerate(vertices)]
     if sorted(ids) != list(range(len(vertices))):
         raise GraphInvariantError(
             "vertex_ids_contiguous", f"ids must be 0..{len(vertices) - 1}, got {ids}"
         )
     weights = [0] * len(vertices)
     for i, v in zip(ids, vertices):
-        weights[i] = _int_field(v, "self_intersection", f"vertex {i}")
+        weights[i] = _int_field(v, "self_intersection", "vertex", i)
     edges = {}
     for k, e in enumerate(doc["edges"]):
         if not isinstance(e, dict):
             raise GraphInvariantError("edge_object", f"edge entry {k} is {e!r}")
-        where = f"edge entry {k}"
-        a, b = _int_field(e, "a", where), _int_field(e, "b", where)
-        key = (min(a, b), max(a, b))
+        a, b = _int_field(e, "a", "edge entry", k), _int_field(e, "b", "edge entry", k)
+        key = (a, b) if a < b else (b, a)
         if key in edges:
             raise GraphInvariantError("edge_unique", f"duplicate edge {key}")
-        edges[key] = _int_field(e, "multiplicity", where, default=1)
+        edges[key] = _int_field(e, "multiplicity", "edge entry", k, default=1)
     return DualGraph(len(vertices), tuple(weights), edges)
 
 

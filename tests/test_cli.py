@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from duval_kind.cli import (
     EXIT_USAGE,
     main,
 )
+from duval_kind.dual_graph import build_dynkin, graph_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -422,10 +424,11 @@ def test_fuzzed_argv_ends_in_a_contract_exit_code(argv):
 
     argparse ends --help and -h (which the free text can spell) with
     SystemExit, as it ends the real process; its code counts as the exit.
-    Graph-file contents are not fuzzed and no wall bound is asserted:
-    near-singular forms such as the Cassini form still make Laufer's loop
-    take 2F_k - 1 steps, and dense fill makes the certificate cost O(n^3)
-    (ROADMAP item 5).
+    Graph-file contents are fuzzed by the test below, and no wall bound is
+    asserted: near-singular definite forms such as the Cassini form still
+    make Laufer's loop take 2F_k - 1 steps, and a graph Laufer cannot
+    settle within its step budget still costs the elimination O(n^3) under
+    fill (ROADMAP item 5).
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -436,3 +439,138 @@ def test_fuzzed_argv_ends_in_a_contract_exit_code(argv):
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_BUDGET, EXIT_NOT_NEGATIVE_DEFINITE)
     if code != EXIT_OK:
         assert out.getvalue() == ""
+
+
+# -- graph-file fuzzing --------------------------------------------------------
+
+def _graph_doc(weights, edges):
+    return {
+        "vertices": [{"id": i, "self_intersection": w} for i, w in enumerate(weights)],
+        "edges": [{"a": a, "b": b, "multiplicity": m} for a, b, m in edges],
+    }
+
+
+# valid documents: definite and not, trees and a cycle, big integers
+VALID_GRAPH_DOCS = [
+    graph_to_dict(build_dynkin("A", 5)),
+    graph_to_dict(build_dynkin("D", 6)),
+    graph_to_dict(build_dynkin("E", 8)),
+    _graph_doc((-3, -3, -3), [(0, 1, 1), (1, 2, 1), (0, 2, 1)]),
+    _graph_doc((-1, -2, -1), [(0, 1, 1), (1, 2, 1)]),  # kernel (1, 1, 1)
+    _graph_doc((-610, -1597), [(0, 1, 987)]),  # Cassini form, 1219 Laufer steps
+    _graph_doc((-1, -(10**18 + 1)), [(0, 1, 10**9)]),
+]
+
+
+def _dict_entries(doc):
+    """The vertex and edge entries of doc that are still objects."""
+    return [
+        entry
+        for name in ("vertices", "edges")
+        if isinstance(doc.get(name), list)
+        for entry in doc[name]
+        if isinstance(entry, dict)
+    ]
+
+
+def _set_field(rng, doc, values):
+    entries = _dict_entries(doc)
+    if entries:
+        entry = rng.choice(entries)
+        key = rng.choice(sorted(entry) or ["id"])
+        entry[key] = rng.choice(values)
+
+
+def drop_field(rng, doc):
+    entries = _dict_entries(doc)
+    if rng.random() < 0.2 or not entries:
+        doc.pop(rng.choice(("vertices", "edges")), None)
+    else:
+        entry = rng.choice(entries)
+        if entry:
+            del entry[rng.choice(sorted(entry))]
+
+
+def odd_value(rng, doc):
+    _set_field(rng, doc, [True, False, 1.5, -2.0, "1", "-2", None, [], {}])
+
+
+def huge_int(rng, doc):
+    _set_field(rng, doc, [10**30, -(10**30), 2**63, -(2**63), 10**400])
+
+
+def nonpositive_multiplicity(rng, doc):
+    edges = [e for e in _dict_entries(doc) if "a" in e or "b" in e]
+    if edges:
+        rng.choice(edges)["multiplicity"] = rng.choice((0, -1, -(10**9)))
+
+
+def _edge_list(doc):
+    return doc["edges"] if isinstance(doc.get("edges"), list) else None
+
+
+def self_loop(rng, doc):
+    edges = _edge_list(doc)
+    if edges is not None:
+        v = rng.randrange(10)  # an id past the last vertex is caught as a loop first
+        edges.append({"a": v, "b": v})
+
+
+def reversed_duplicate_edge(rng, doc):
+    edges = _edge_list(doc)
+    originals = [e for e in edges or [] if isinstance(e, dict)]
+    if originals:
+        e = rng.choice(originals)
+        edges.append({"a": e.get("b"), "b": e.get("a"), "multiplicity": 1})
+
+
+def disconnect(rng, doc):
+    vertices = doc.get("vertices")
+    if isinstance(vertices, list):
+        vertices.append({"id": len(vertices), "self_intersection": -2})
+
+
+def non_dict_entry(rng, doc):
+    junk = rng.choice((0, "x", None, [1, 2], True, 1.5))
+    lists = [doc[name] for name in ("vertices", "edges") if isinstance(doc.get(name), list)]
+    if rng.random() < 0.2 or not any(lists):
+        doc[rng.choice(("vertices", "edges"))] = junk
+    else:
+        entries = rng.choice([entries for entries in lists if entries])
+        entries[rng.randrange(len(entries))] = junk
+
+
+GRAPH_MUTATIONS = (
+    drop_field,
+    odd_value,
+    huge_int,
+    nonpositive_multiplicity,
+    self_loop,
+    reversed_duplicate_edge,
+    disconnect,
+    non_dict_entry,
+)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fuzzed_graph_file_ends_in_a_contract_exit_code(tmp_path, seed):
+    """Seeded mutations of valid graph documents through `fundamental-cycle
+    --graph`, in-process: each ends in exit 0, 2 or 4 with no exception,
+    and with nothing on stdout unless the exit is 0."""
+    rng = random.Random(seed)
+    path = tmp_path / "graph.json"
+    codes = set()
+    for _ in range(80):
+        doc = json.loads(json.dumps(rng.choice(VALID_GRAPH_DOCS)))  # a deep copy
+        for mutate in rng.sample(GRAPH_MUTATIONS, rng.randint(1, 2)):
+            mutate(rng, doc)
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["fundamental-cycle", "--graph", str(path)])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NOT_NEGATIVE_DEFINITE), doc
+        if code != EXIT_OK:
+            assert out.getvalue() == "", doc
+            assert err.getvalue().startswith("error:"), doc
+        codes.add(code)
+    assert EXIT_USAGE in codes

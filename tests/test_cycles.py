@@ -77,6 +77,44 @@ def test_laufer_equals_brute_force_on_larger_weighted_trees(seed):
     check_laufer_on_weighted_trees(seed, 10, 12, 10)
 
 
+def random_connected_graph(rng, size, with_cycles):
+    """Random spanning tree, plus 1..size extra edges when with_cycles;
+    multiplicities 1..3.  Each weight is minus the multiplicities at its
+    vertex, moved by -2..1, so definite, semidefinite and indefinite forms
+    all occur, some of them past Laufer's step budget."""
+    edges = {(rng.randrange(v), v): rng.randint(1, 3) for v in range(1, size)}
+    for _ in range(rng.randint(1, size) if with_cycles and size > 2 else 0):
+        a, b = sorted(rng.sample(range(size), 2))
+        edges.setdefault((a, b), rng.randint(1, 3))
+    weights = [rng.choice((1, 0, 0, -1, -1, -2)) for _ in range(size)]
+    for (a, b), m in edges.items():
+        weights[a] -= m
+        weights[b] -= m
+    return DualGraph(size, tuple(min(-1, w) for w in weights), edges)
+
+
+@pytest.mark.parametrize("with_cycles", [False, True], ids=["trees", "cycles"])
+@pytest.mark.parametrize("seed", range(4))
+def test_laufer_verdict_matches_elimination(seed, with_cycles):
+    # fundamental_cycle decides definiteness by Z.Z on most graphs and calls
+    # the elimination on the rest; its verdict must be the elimination's
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(200):
+        g = random_connected_graph(rng, rng.randint(1, 12), with_cycles)
+        definite = is_negative_definite(g.self_intersections, g.edges)
+        verdicts.add(definite)
+        if not definite:
+            with pytest.raises(CycleError):
+                fundamental_cycle(g)
+            continue
+        z = fundamental_cycle(g)
+        bound = max(z.coefficients) + 1
+        if bound**g.vertex_count <= 10**5:  # small enough to enumerate
+            assert z == brute_force_fundamental_cycle(g, bound)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_pruned_candidates_match_plain_enumeration(seed):
     # trees and graphs with cycles, at most 6 vertices; each weight is near

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from duval_kind import cycles
+from duval_kind.cycles import CycleError
 from duval_kind.dual_graph import (
     MAX_VERTICES,
     DualGraph,
@@ -305,6 +307,79 @@ def test_definite_forms_at_max_vertices():
     # (-2, ..., -2, -1) contracts to a smooth point (det = +-1): definite
     chain = DualGraph(N, (-2,) * (N - 1) + (-1,), path_edges(N))
     assert is_negative_definite(chain.self_intersections, chain.edges)
+
+
+# -- Laufer's loop as the certificate ------------------------------------------
+
+def graph_of(matrix):
+    weights, edges = form_parts(matrix)
+    return DualGraph(len(weights), weights, edges)
+
+
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    """The verdicts of each is_negative_definite call fundamental_cycle makes."""
+    verdicts = []
+
+    def counted(*args):
+        verdicts.append(is_negative_definite(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cycles, "is_negative_definite", counted)
+    return verdicts
+
+
+@pytest.mark.parametrize(
+    "build,expected",
+    [
+        # all-ones: Z.Z = -400 and every pairing is -2
+        (lambda: graph_of(complete_form(200, -201)), (1,) * 200),
+        # all-ones: Z.Z = 200*(-198) + 200*199 = 200 >= 0
+        (lambda: graph_of(complete_form(200, -198)), None),
+        *((SINGULAR_AT_MAX[case][0], None) for case in SINGULAR_AT_MAX),
+    ],
+    ids=["K200-weight-201", "K200-weight-198", *SINGULAR_AT_MAX],
+)
+def test_laufer_alone_settles_definiteness(monkeypatch, build, expected):
+    # the loop ends with Z.Z < 0 (definite) or meets Z.Z >= 0 (not definite)
+    # within its step budget, so the elimination is never reached
+    g = build()
+
+    def unreachable(*args):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(cycles, "is_negative_definite", unreachable)
+    if expected is None:
+        with pytest.raises(CycleError):
+            cycles.fundamental_cycle(g)
+    else:
+        assert cycles.fundamental_cycle(g).coefficients == expected
+
+
+def test_cassini_form_passes_the_step_budget_once(certificate_calls):
+    # 2F_15 - 1 = 1219 Laufer steps against a budget of 2(|V| + |E|) = 6:
+    # the elimination certifies once, then the loop runs on to the cycle
+    g = graph_of(cassini_form(15))
+    assert cycles.fundamental_cycle(g).coefficients == (987, 610)
+    assert certificate_calls == [True]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # ab - m^2 = -1 at even k: indefinite, but Z.Z turns >= 0 only at
+        # step 41, past the budget of 6
+        graph_of(cassini_form(16)),
+        # a tree of the random verdict sweep's shape in test_cycles:
+        # multiplicity 3, weights near minus the multiplicities at a vertex
+        DualGraph(4, (-8, -4, -6, -2), {(0, 1): 3, (0, 2): 3, (2, 3): 3}),
+    ],
+    ids=["cassini-16", "weighted-tree"],
+)
+def test_indefinite_form_past_the_step_budget_raises(certificate_calls, g):
+    with pytest.raises(CycleError):
+        cycles.fundamental_cycle(g)
+    assert certificate_calls == [False]
 
 
 def test_vertex_count_bounded():

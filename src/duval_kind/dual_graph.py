@@ -54,7 +54,10 @@ class DualGraph:
 
     vertex_count: int
     self_intersections: tuple[int, ...]
-    edges: Mapping[tuple[int, int], int]  # key (i, j) with i < j, value >= 1
+    # key (i, j) with 0 <= i < j < vertex_count, value >= 1: graph_from_dict
+    # and build_dynkin build it in this form, and graph_from_dict rejects
+    # duplicate edges
+    edges: Mapping[tuple[int, int], int]
     # neighbours[i] lists (j, multiplicity) for each edge at i; built once
     # here and read by the connectivity check and by Laufer's loop
     neighbours: list[list[tuple[int, int]]] = field(
@@ -79,13 +82,12 @@ class DualGraph:
                 "self_intersection_negative",
                 f"vertex {i} has self-intersection {w} > -1",
             )
-        clean: dict[tuple[int, int], int] = {}
+        edges = dict(self.edges)
         neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (a, b), m in self.edges.items():
-            a, b, m = int(a), int(b), int(m)
+        for (a, b), m in edges.items():
             if a == b:
                 raise GraphInvariantError("no_self_loops", f"vertex {a}")
-            if not (0 <= a < n and 0 <= b < n):
+            if not 0 <= a < b < n:
                 raise GraphInvariantError(
                     "edge_endpoints_in_range", f"edge ({a},{b})"
                 )
@@ -93,13 +95,9 @@ class DualGraph:
                 raise GraphInvariantError(
                     "edge_multiplicity_positive", f"edge ({a},{b}) has multiplicity {m}"
                 )
-            key = (a, b) if a < b else (b, a)
-            if key in clean:
-                raise GraphInvariantError("edge_unique", f"duplicate edge {key}")
-            clean[key] = m
             neighbours[a].append((b, m))
             neighbours[b].append((a, m))
-        object.__setattr__(self, "edges", clean)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "neighbours", neighbours)
         seen = [False] * n
         seen[0] = True

@@ -6,12 +6,14 @@ QUADPACK, Piessens et al. 1983), vectorised over the nodes of all
 panels of a family of integrals.  A panel's error estimate is
 |K15 - G7|, floored at 50 eps_mach sum h |K| and increased by the
 errors of nested inner integrals weighted by the outer rule.  Each
-integral of a family keeps its own tolerance, panel count and budget,
-so it refines as it would alone: `annulus_bands` computes all bands
-I~_k of a table in one family (its inner integrals, one per level, are a
-second family), while `level_norm` is a family of one.  An integral
-without nested ones never passes its budget; a nested one can pass it
-within a round, whose inner panels are counted only once evaluated.
+integral of a family keeps its own tolerance and one running panel
+count, its nested integrals' panels included, and stops once that count
+reaches the one budget MAX_PANELS, so it refines as it would alone:
+`annulus_bands` computes all bands I~_k of a table in one family (its
+inner integrals, one per level, are a second family), while
+`level_norm` is a family of one.  An integral without nested ones never
+passes MAX_PANELS; a nested one can pass it within its last round, whose
+inner panels are counted only once evaluated.
 
 Along a level l the integrands are written in psi (see `quadrature` for
 the derivation): `_level_psi0` solves the level equation at d = 0 for
@@ -75,6 +77,8 @@ _V_POINTS = np.array([0.0, 1.0, 2.0, _V_CUT])
 _LOG_2 = math.log(2.0)
 # nested inner integrals get this share of the relative tolerance
 _INNER_SHARE = 0.1
+# panels one integral may evaluate, its nested integrals' included
+MAX_PANELS = 400_000
 _NEWTON_STEPS = 60
 
 
@@ -100,13 +104,7 @@ def _kronrod(f, lo, hi, rows, m):
     return kronrod, err, inner_panels
 
 
-def _panels(rows, initial, inner, m):
-    """Panels evaluated per integral, nested ones included: each bisection
-    evaluates two panels and adds one leaf to the initial ones."""
-    return 2 * np.bincount(rows, minlength=m) - initial + inner
-
-
-def _gauss_kronrod(f, points, rel_tol, max_panels):
+def _gauss_kronrod(f, points, rel_tol):
     """Adaptive G7/K15 for a family of integrals int f(x, j) dx, j = 0..m-1.
 
     points: array (m, p) of breakpoints per integral; panels of zero width
@@ -116,12 +114,13 @@ def _gauss_kronrod(f, points, rel_tol, max_panels):
     like x holding the errors of nested integrals and the panels they
     evaluated at each node.  Every panel of an integral whose error
     exceeds its tolerance rel_tol |value| bisects while its own error
-    exceeds that tolerance's equal share per panel.  Each integral stops
-    when it meets its tolerance or has evaluated max_panels panels, its
-    own and those of its nested integrals, so it refines as it would
-    alone.  An integral without nested ones also stops, short of its
-    tolerance, before a round of splits that would carry it past
-    max_panels.  Returns arrays (values, errors, panels), one entry per
+    exceeds that tolerance's equal share per panel.  Each integral keeps
+    one running count of the panels it evaluated: its initial ones, two
+    per split and the inner panels of its nested integrals.  It stops when
+    it meets its tolerance or its count reaches MAX_PANELS, so it refines
+    as it would alone.  An integral without nested ones also stops, short
+    of its tolerance, before a round of splits that would carry it past
+    MAX_PANELS.  Returns arrays (values, errors, panels), one entry per
     integral.
     """
     m = points.shape[0]
@@ -129,40 +128,30 @@ def _gauss_kronrod(f, points, rel_tol, max_panels):
     rows = np.repeat(np.arange(m), points.shape[1] - 1)
     nonempty = hi != lo
     lo, hi, rows = lo[nonempty], hi[nonempty], rows[nonempty]
-    initial = np.bincount(rows, minlength=m)
     val, err, inner = _kronrod(f, lo, hi, rows, m)
     nested = isinstance(inner, np.ndarray)
-    # all panels of the family: a bound on each integral's own count
-    spent = len(lo) + (inner.sum() if nested else 0)
+    panels = np.bincount(rows, minlength=m) + inner
     while True:
         value = np.bincount(rows, val, m)
         error = np.bincount(rows, err, m)
         tol = rel_tol * np.abs(value)
-        unmet = error > tol
-        if spent >= max_panels:  # only now can an integral have spent its budget
-            unmet &= _panels(rows, initial, inner, m) < max_panels
+        unmet = (error > tol) & (panels < MAX_PANELS)
         if not unmet.any():
-            return value, error, _panels(rows, initial, inner, m)
+            return value, error, panels
         share = tol / np.bincount(rows, minlength=m)
         split = unmet[rows] & (err > share[rows])
-        new_count = 2 * np.count_nonzero(split)
-        if not nested and spent + new_count > max_panels:
+        if not nested:
             # an integral without nested ones stops short of a round of
             # splits, two panels each, that would pass its budget
-            over = _panels(rows, initial, 0, m) + 2 * np.bincount(rows[split], minlength=m)
-            split &= (over <= max_panels)[rows]
-            new_count = 2 * np.count_nonzero(split)
-            if not new_count:
-                return value, error, _panels(rows, initial, inner, m)
+            split &= (panels + 2 * np.bincount(rows[split], minlength=m) <= MAX_PANELS)[rows]
+            if not split.any():
+                return value, error, panels
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
         new_rows = np.tile(rows[split], 2)
         new_val, new_err, new_inner = _kronrod(f, new_lo, new_hi, new_rows, m)
-        spent += new_count
-        if nested:
-            inner = inner + new_inner
-            spent += new_inner.sum()
+        panels = panels + np.bincount(new_rows, minlength=m) + new_inner
         keep = ~split
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
@@ -201,7 +190,7 @@ def _level_psi0(n: int, ell):
     raise ArithmeticError(f"Newton for the level psi did not converge in {_NEWTON_STEPS} steps")
 
 
-def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float, max_panels: int):
+def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float):
     """int_{psi0}^inf sigma(-psi) (a + b sigma(psi)) coth y dpsi for each
     entry of psi0, as one family: arrays (values, errors, panels).
 
@@ -226,7 +215,7 @@ def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float, max_panels: 
         return 2.0 * v * weight * np.exp(-sp - 2.0 * delta) / (root_q * (1.0 + root_q)), 0.0, 0
 
     points = np.broadcast_to(_V_POINTS, (len(psi0), len(_V_POINTS)))
-    values, errors, panels = _gauss_kronrod(excess, points, rel_tol, max_panels)
+    values, errors, panels = _gauss_kronrod(excess, points, rel_tol)
     main = a * _softplus(-psi0) + b * np.exp(-_softplus(psi0))
     return main + values, errors + _ROUNDOFF_FLOOR * main, panels
 
@@ -243,7 +232,7 @@ def tail_bound(a: float, b: float) -> float:
 
 # -- the two integrals -----------------------------------------------------------
 
-def annulus_bands(n: int, ks, rel_tol: float, max_panels: int):
+def annulus_bands(n: int, ks, rel_tol: float):
     """int over the band -2e^{k+1} < ell < -2e^k of
     int_{psi0(ell)}^inf sigma(-psi) coth y dpsi dell / ell^2 for each k in
     ks, one family with a row per band: arrays (values, errors, panels)."""
@@ -252,7 +241,7 @@ def annulus_bands(n: int, ks, rel_tol: float, max_panels: int):
         """int_{psi0}^inf sigma(-psi) coth y dpsi / ell^2 at each level ell."""
         flat = ell.ravel()
         inner, inner_err, panels = _psi_integral(
-            n, _level_psi0(n, flat), 1.0, 0.0, _INNER_SHARE * rel_tol, max_panels
+            n, _level_psi0(n, flat), 1.0, 0.0, _INNER_SHARE * rel_tol
         )
         weight = 1.0 / (flat * flat)
         return (
@@ -262,12 +251,12 @@ def annulus_bands(n: int, ks, rel_tol: float, max_panels: int):
         )
 
     bands = np.array([[-2.0 * math.exp(k + 1), -2.0 * math.exp(k)] for k in ks])
-    return _gauss_kronrod(level_density, bands, rel_tol, max_panels)
+    return _gauss_kronrod(level_density, bands, rel_tol)
 
 
-def level_norm(n: int, level: float, rel_tol: float, max_panels: int):
+def level_norm(n: int, level: float, rel_tol: float):
     """int_{psi0}^inf sigma(-psi) (2 + (n-1) sigma(psi)) coth y dpsi on the
     level L = level: (value, error, panels)."""
     psi0 = _level_psi0(n, np.array([level]))
-    value, error, panels = _psi_integral(n, psi0, 2.0, n - 1.0, rel_tol, max_panels)
+    value, error, panels = _psi_integral(n, psi0, 2.0, n - 1.0, rel_tol)
     return value[0], error[0], panels[0]

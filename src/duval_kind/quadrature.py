@@ -56,8 +56,9 @@ module of the package that uses numpy.  `integral_Ik_bands` and
 argument checks, so the exact half, the CLI parser and every usage error
 never load numpy; the first integral of a process pays that import.
 `integral_Ik_bands` hands all its bands to the kernel as one family, one
-vectorised refinement whose rows each keep the panel count and budget of
-a lone band; `integral_Ik` is the family of one.  This module keeps the
+vectorised refinement whose rows each keep the panel count of a lone
+band and stop at the kernel's one budget, `levelset.MAX_PANELS`;
+`integral_Ik` is the family of one.  This module keeps the
 contract: argument ranges, the closed-form tail bounds, the scaling and
 the budget check.
 """
@@ -96,15 +97,17 @@ class QuadratureResult:
             raise ValueError("quadrature results are non-negative")
 
 
-def _checked(value, error, panels, scale, truncation, rel_tol, max_panels) -> "QuadratureResult":
+def _checked(value, error, panels, scale, truncation, rel_tol) -> "QuadratureResult":
     """The kernel's result times scale, or QuadratureBudgetError carrying it
     if the kernel stopped short of the tolerance."""
     result = QuadratureResult(
         max(scale * float(value), 0.0), scale * float(error), int(panels), truncation
     )
     if not error <= rel_tol * abs(value):
+        from . import levelset  # already loaded: the kernel produced value
+
         raise QuadratureBudgetError(
-            f"subregion budget {max_panels} exhausted "
+            f"subregion budget {levelset.MAX_PANELS} exhausted "
             f"(value {result.value:.6e}, rel err {error / max(abs(value), 1e-300):.2e})",
             result,
         )
@@ -126,9 +129,7 @@ def check_tol(rel_tol: float) -> None:
         raise QuadratureRangeError(f"rel_tol must be finite and >= 1e-8, got {rel_tol}")
 
 
-def integral_Ik_bands(
-    n: int, ks, rel_tol: float, max_cells: int = 400_000
-) -> tuple[QuadratureResult, ...]:
+def integral_Ik_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...]:
     """The annulus integrals I~_k over pi^{-1}(D_k) for the A_n covering,
     one result per k in ks, computed as one family."""
     _check_n(n)
@@ -143,24 +144,22 @@ def integral_Ik_bands(
 
     from . import levelset
 
-    values, errors, panels = levelset.annulus_bands(n, checked, rel_tol, max_cells)
+    values, errors, panels = levelset.annulus_bands(n, checked, rel_tol)
     scale = TWO_PI_SQ / (2.0 * (n + 1))
     results = []
     for k, value, error, count in zip(checked, values, errors, panels):
         # the cut's bound at each level, times int_band dl / l^2
         tail = scale * levelset.tail_bound(1.0, 0.0) * (1.0 - math.exp(-1.0)) / (2.0 * math.exp(k))
-        results.append(_checked(value, error, count, scale, tail, rel_tol, max_cells))
+        results.append(_checked(value, error, count, scale, tail, rel_tol))
     return tuple(results)
 
 
-def integral_Ik(n: int, k: int, rel_tol: float, max_cells: int = 400_000) -> QuadratureResult:
+def integral_Ik(n: int, k: int, rel_tol: float) -> QuadratureResult:
     """The annulus integral I~_k over pi^{-1}(D_k) for the A_n covering."""
-    return integral_Ik_bands(n, (k,), rel_tol, max_cells)[0]
+    return integral_Ik_bands(n, (k,), rel_tol)[0]
 
 
-def structure_form_l2_norm(
-    n: int, eps: float, rel_tol: float, max_cells: int = 400_000
-) -> QuadratureResult:
+def structure_form_l2_norm(n: int, eps: float, rel_tol: float) -> QuadratureResult:
     """Squared L^2 norm of the A_n structure form over the ambient ball of
     radius eps: 2 pi^2 (n+1) int_0^inf e^{2 s*(d)} dd, with s*(d) the
     level s of L = 2 log eps."""
@@ -171,10 +170,10 @@ def structure_form_l2_norm(
 
     from . import levelset
 
-    value, error, panels = levelset.level_norm(n, 2.0 * math.log(eps), rel_tol, max_cells)
+    value, error, panels = levelset.level_norm(n, 2.0 * math.log(eps), rel_tol)
     scale = math.pi**2 * eps**2
     tail = scale * levelset.tail_bound(2.0, n - 1.0)
-    return _checked(value, error, panels, scale, tail, rel_tol, max_cells)
+    return _checked(value, error, panels, scale, tail, rel_tol)
 
 
 def defect_bound(integral: QuadratureResult) -> QuadratureResult:

@@ -10,9 +10,10 @@ coefficient box instead of running Laufer's algorithm,
 eliminating, and the Monte Carlo estimators sample the original
 coordinates instead of integrating over level sets, evaluating the
 squared ambient norm of the A_n covering image directly or by
-log-sum-exp.  `level_s` solves the level equation in the d-form by
-Newton, and `structure_form_reference` integrates ||omega||^2 with it on
-a fixed Gauss-Legendre composite in d.  `adaptive_1d` runs the
+log-sum-exp.  `level_psi` solves the level equation by Newton at a
+point y = (n+1)d measured from the corner y*, `level_s` reads s from it
+at a point d, and `structure_form_reference` integrates ||omega||^2 with
+it on a fixed Gauss-Legendre composite in y - y*.  `adaptive_1d` runs the
 product's G7/K15 kernel on a plain 1-D integrand, for drills against
 closed forms.  `dominating_integral`
 sums the annulus integrals I~_1..I~_k_max of one band family, and
@@ -328,14 +329,14 @@ def _monte_carlo(f, n, lo, hi, scale, samples, seed):
 
 # -- 1-D drill integrator ---------------------------------------------------------
 
-def adaptive_1d(f, a: float, b: float, rel_tol: float, max_intervals: int = 100_000):
+def adaptive_1d(f, a: float, b: float, rel_tol: float):
     """Adaptive G7/K15 on [a, b] for a smooth integrand f that maps an array
     of nodes to an array of values; returns (value, error_estimate)."""
     (value,), (error,), _ = levelset._gauss_kronrod(
-        lambda x, rows: (f(x), 0.0, 0), np.array([[a, b]], dtype=float), rel_tol, max_intervals
+        lambda x, rows: (f(x), 0.0, 0), np.array([[a, b]], dtype=float), rel_tol
     )
     if not error <= rel_tol * abs(value):
-        raise ArithmeticError(f"{max_intervals} panels did not reach rel_tol {rel_tol}")
+        raise ArithmeticError(f"{levelset.MAX_PANELS} panels did not reach rel_tol {rel_tol}")
     return float(value), float(error)
 
 
@@ -344,51 +345,59 @@ def adaptive_1d(f, a: float, b: float, rel_tol: float, max_intervals: int = 100_
 _NEWTON_STEPS = 60
 
 
-def level_s(n: int, ell, d):
-    """s solving 2s + softplus(psi) = ell, psi = (n-1)s + log 2cosh((n+1)d).
+def level_psi(n: int, ell, t):
+    """psi on the level L = ell at y = (n+1)|d| = y* + t, y* = (n-1)|ell|/2
+    the corner d* in y.
 
-    Returns (s, psi).  The left side is convex and increasing in s with
-    slope in [2, n+1], and softplus(x) >= max(x, 0) puts the start
-    min(ell/2, (ell - log 2cosh((n+1)d))/(n+1)) right of the root, so
-    Newton decreases monotonically onto it.
+    With s = (ell - softplus psi)/2 eliminated, the level equation
+    2s + softplus(psi) = ell, psi = (n-1)s + log 2cosh y, reads
+    f(psi) = psi + (n-1) softplus(psi)/2 - c = 0 with c = t + log1p(e^{-2y}).
+    f is convex and increasing, and f(c) = (n-1) softplus(c)/2 >= 0, so
+    Newton decreases monotonically onto the root from c; where the root
+    is far below 0, each step lowers psi by about 1.  t carries the corner
+    exactly at every n: in d, (n+1)d and y* cancel there, and at n = 2^53
+    a node of d near d* is off by about 8 in y.
     """
-    y = (n + 1) * np.abs(d)
-    log_2cosh = y + np.log1p(np.exp(-2.0 * y))
-    if n == 1:
-        s = 0.5 * (ell - np.logaddexp(0.0, log_2cosh))
-        return s, log_2cosh
-    s = np.minimum(0.5 * ell, (ell - log_2cosh) / (n + 1))
-    # rounding noise of the residual 2s + softplus(psi) - ell; the root is
-    # within log(2)/2 of the start
-    tol = 4.0 * np.finfo(float).eps * (np.abs(ell) + (n + 1) * (np.abs(s) + 1.0) + log_2cosh)
+    y_star = 0.5 * (n - 1) * abs(ell)
+    c = t + np.log1p(np.exp(-2.0 * (y_star + t)))
+    psi = c
+    half = 0.5 * (n - 1)
     for _ in range(_NEWTON_STEPS):
-        psi = (n - 1) * s + log_2cosh
         sp = np.logaddexp(0.0, psi)
-        step = (2.0 * s + sp - ell) / (2.0 + (n - 1) * np.exp(psi - sp))
-        s = s - step
-        if np.all(np.abs(step) <= tol):
-            return s, (n - 1) * s + log_2cosh
-    raise ArithmeticError(f"Newton for the level s did not converge in {_NEWTON_STEPS} steps")
+        step = (psi + half * sp - c) / (1.0 + half * np.exp(psi - sp))
+        psi = psi - step
+        # rounding noise of f, over its least slope 1: (n-1) softplus(psi)/2 <= c - psi
+        if np.all(np.abs(step) <= 8.0 * np.finfo(float).eps * (np.abs(psi) + np.abs(c) + 1.0)):
+            return psi
+    raise ArithmeticError(f"Newton for the level psi did not converge in {_NEWTON_STEPS} steps")
+
+
+def level_s(n: int, ell, d):
+    """s solving 2s + softplus(psi) = ell, psi = (n-1)s + log 2cosh((n+1)d):
+    returns (s, psi), from `level_psi` at t = (n+1)|d| - y*."""
+    psi = level_psi(n, ell, (n + 1) * np.abs(d) - 0.5 * (n - 1) * abs(ell))
+    return 0.5 * (ell - np.logaddexp(0.0, psi)), psi
 
 
 @functools.cache
 def structure_form_reference(n: int, eps: float, panels: int = 256) -> tuple[float, float]:
     """(value, uncertainty) of ||omega||^2 = 2 pi^2 (n+1) int_0^{d*+40}
-    e^{2 s*(d)} dd, s*(d) the level s of L = 2 log eps, by 20-point
-    Gauss-Legendre on a fixed composite in d: `panels` equal panels between
-    each pair of the breakpoints 0, d*, d* +- 60/(n+1), d* +- 2 and d* + 40
-    (those below 0 dropped), d* = (n-1)|L| / (2(n+1)).  The integrand turns
-    within about 40/(n+1) left of the corner d* and decays like
-    e^{-2(d - d*)} right of it; the cut at d* + 40 drops below e^{-80} of
-    the value.  The uncertainty is the change from half the panels plus
-    8 ulps.  Neither the psi-form of the product nor its adaptive kernel
-    is used."""
+    e^{2 s*(d)} dd, s*(d) the level s of L = 2 log eps, d* = (n-1)|L| /
+    (2(n+1)).  In t = (n+1)(d - d*), with e^{2 s*} = eps^2 sigma(-psi),
+    this is 2 pi^2 eps^2 int sigma(-psi) dt from t = -(n+1)d* to 40(n+1),
+    taken by 20-point Gauss-Legendre on a fixed composite: `panels` equal
+    panels between each pair of the breakpoints -(n+1)d*, -2(n+1), -60,
+    0, 60, 2(n+1) and 40(n+1) (those below -(n+1)d* dropped).  The
+    integrand turns within about 40 left of the corner t = 0 and decays
+    like e^{-2t/(n+1)} right of it; the cut drops below e^{-80} of the
+    value.  The uncertainty is the change from half the panels plus 8
+    ulps.  Neither the psi-form of the product nor its adaptive kernel is
+    used: psi is solved at each node of t."""
     ell = 2.0 * math.log(eps)
-    d_star = (n - 1) * abs(ell) / (2.0 * (n + 1))
-    fine = 60.0 / (n + 1)
+    t_zero = -0.5 * (n - 1) * abs(ell)  # d = 0
     cuts = sorted(
-        {0.0} | {x for x in (d_star - 2.0, d_star - fine, d_star) if x > 0.0}
-        | {d_star + fine, d_star + 2.0, d_star + 40.0}
+        {t_zero} | {t for t in (-2.0 * (n + 1), -60.0, 0.0) if t > t_zero}
+        | {60.0, 2.0 * (n + 1), 40.0 * (n + 1)}
     )
     x, w = np.polynomial.legendre.leggauss(20)
 
@@ -397,8 +406,9 @@ def structure_form_reference(n: int, eps: float, panels: int = 256) -> tuple[flo
             [np.linspace(lo, hi, m + 1)[:-1] for lo, hi in zip(cuts, cuts[1:])] + [cuts[-1:]]
         )
         half = 0.5 * np.diff(edges)[:, None]
-        s, _ = level_s(n, ell, 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x)
-        return 2.0 * math.pi**2 * (n + 1) * float(np.sum(half * np.exp(2.0 * s) * w))
+        psi = level_psi(n, ell, 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x)
+        sigma = np.exp(-np.logaddexp(0.0, psi))
+        return 2.0 * math.pi**2 * eps**2 * float(np.sum(half * sigma * w))
 
     value = composite(panels)
     return value, abs(value - composite(panels // 2)) + 8.0 * np.finfo(float).eps * value

@@ -243,14 +243,19 @@ def test_structure_form_l2_norm_small_radii():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: integral_Ik(2, 1, 1e-8, max_cells=50),
-        lambda: integral_Ik_bands(2, (1, 2), 1e-8, max_cells=50),
-        lambda: structure_form_l2_norm(3, 0.01, 1e-8, max_cells=2),
+        lambda run: run(50, integral_Ik, 2, 1, 1e-8),
+        lambda run: run(50, integral_Ik_bands, 2, (1, 2), 1e-8),
+        lambda run: run(2, structure_form_l2_norm, 3, 0.01, 1e-8),
     ],
 )
-def test_budget_exhaustion_carries_finite_partial(call):
+def test_budget_exhaustion_carries_finite_partial(monkeypatch, call):
+    def run(budget, integral, *args):
+        monkeypatch.setattr(levelset, "MAX_PANELS", budget)
+        return integral(*args)
+
     with pytest.raises(QuadratureBudgetError) as info:
-        call()
+        call(run)
+    assert str(info.value).startswith(f"subregion budget {levelset.MAX_PANELS} exhausted")
     partial = info.value.partial
     assert 0 < partial.value < math.inf
     assert math.isfinite(partial.error_estimate)
@@ -285,11 +290,11 @@ def test_level_psi0_solves_the_level_equation_at_d0(n):
 def test_psi_integral_closed_forms():
     # n = 1: psi0 = log 2 and int_{log 2}^inf sigma(-psi) coth y dpsi
     # = log(3/2) + C with C = pi/(3 sqrt 3) - log(3/2)
-    (value,), _, _ = _psi_integral(1, np.array([math.log(2.0)]), 1.0, 0.0, 1e-12, 10**4)
+    (value,), _, _ = _psi_integral(1, np.array([math.log(2.0)]), 1.0, 0.0, 1e-12)
     assert value == pytest.approx(math.pi / (3.0 * math.sqrt(3.0)), rel=4e-16, abs=0.0)
     # psi0 -> -inf: sigma(-psi) -> 1, delta -> v^2 and C -> int_0^inf
     # (1 - tanh y) dy = log 2; at psi0 = -60 both limits hold to e^{-40}
-    (value,), _, _ = _psi_integral(5, np.array([-60.0]), 1.0, 0.0, 1e-12, 10**4)
+    (value,), _, _ = _psi_integral(5, np.array([-60.0]), 1.0, 0.0, 1e-12)
     assert value - 60.0 == pytest.approx(math.log(2.0), abs=2.0 * math.ulp(value))
 
 
@@ -310,12 +315,13 @@ NORM_RADII = (
 )
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 100, 1000, 10**6])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 100, 1000, 10**6, 2**53])
 def test_structure_form_l2_norm_matches_fixed_panel_reference(n):
     # (2, 0.44296749804716234) at tol 1e-4 once fell below the reference by
     # more than its two-panel error estimate; (2, 0.02618803324854386) and
     # (3, 0.14625625729010416) missed by 7.4x and 1.5x while the v-panel
-    # [1, 6] was split once
+    # [1, 6] was split once; at n = 2^53 and eps <= 2.4e-3 a reference
+    # solved in d missed by 3e-14 relative
     for eps in NORM_RADII:
         reference, uncertainty = structure_form_reference(n, eps)
         assert uncertainty <= 1e-11 * reference
@@ -351,16 +357,43 @@ def test_levels_converge_in_one_kronrod_round(monkeypatch, n):
         assert len(calls) == 1, eps
 
 
-def test_max_cells_bounds_a_flat_family():
+def test_panel_budget_bounds_a_flat_family(monkeypatch):
     # a level needs 5 panels at 1e-8: from 3 initial ones, one split
     # costs 2 panels, so a budget of 3 or 4 stops it short
     outcomes = set()
-    for max_cells in range(3, 13):
+    for budget in range(3, 13):
+        monkeypatch.setattr(levelset, "MAX_PANELS", budget)
         try:
-            result = structure_form_l2_norm(2, 1e-3, 1e-8, max_cells=max_cells)
+            result = structure_form_l2_norm(2, 1e-3, 1e-8)
             outcomes.add("met")
         except QuadratureBudgetError as exc:
             result = exc.partial
             outcomes.add("partial")
-        assert result.subregions_used <= max_cells, max_cells
+        assert result.subregions_used <= budget, budget
     assert outcomes == {"met", "partial"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+@pytest.mark.parametrize("tol", [1e-4, 1e-8])
+def test_reported_panels_are_the_panels_evaluated(monkeypatch, n, tol):
+    # every panel _kronrod evaluates, outer or inner, is counted once in
+    # the subregions_used of the integral it belongs to
+    evaluated = []
+    kronrod = levelset._kronrod
+
+    def counting(f, lo, hi, rows, m):
+        evaluated.append(len(lo))
+        return kronrod(f, lo, hi, rows, m)
+
+    monkeypatch.setattr(levelset, "_kronrod", counting)
+    table = integral_Ik_bands(n, (1, 2, 3, 4), tol)
+    assert sum(row.subregions_used for row in table) == sum(evaluated)
+    evaluated.clear()
+    assert structure_form_l2_norm(n, 1e-3, tol).subregions_used == sum(evaluated)
+
+
+def test_nested_family_passes_the_budget_within_its_last_round(monkeypatch):
+    # a round's inner panels are counted once evaluated, so a band that
+    # starts the round below MAX_PANELS can end it far above
+    monkeypatch.setattr(levelset, "MAX_PANELS", 200)
+    assert integral_Ik(2, 1, 1e-8).subregions_used == 330

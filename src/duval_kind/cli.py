@@ -101,14 +101,15 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_cycle(args) -> int:
-    if args.graph is not None:
+    positional = args.type is not None or args.index is not None
+    if args.graph is not None and not positional:
         try:
             g = load_graph(args.graph)
         except GraphInvariantError:
             raise  # malformed content; main maps it
         except (OSError, ValueError) as exc:  # missing, unreadable, a directory, a NUL byte
             raise SystemExit2(str(exc)) from exc
-    elif args.type is not None and args.index is not None:
+    elif args.graph is None and args.type is not None and args.index is not None:
         g = build_dynkin(args.type, args.index)
     else:
         raise SystemExit2("expected either --graph FILE or an ADE type and index")
@@ -142,14 +143,15 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_residue(args) -> int:
-    if args.equation is not None:
+    positional = args.type is not None or args.index is not None
+    if args.equation is not None and not positional:
         try:
             f = parse_polynomial(args.equation)
         except PolynomialParseError as exc:  # caret under the offending character
             raise SystemExit2(f"{exc}\n  {args.equation}\n  {' ' * exc.position}^") from exc
         print(f"f = {f}")
         print(f"df/dz = {differentiate(f, 'z')}")
-    elif args.type is not None and args.index is not None:
+    elif args.equation is None and args.type is not None and args.index is not None:
         germ = duval_equation(args.type, args.index)
         print(f"f = {germ.equation}")
         print(f"df/dz = {germ.residue_denominator}")

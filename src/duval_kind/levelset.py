@@ -1,35 +1,72 @@
-"""The numpy kernel of the level-set quadrature: adaptive G7/K15 and the
-psi-form of the A_n integrands.
+"""The A_n integrals in the psi-form, on an adaptive G7/K15 kernel: the
+one module of the package that uses numpy.
 
-Both integrals run on one adaptive Gauss-Kronrod kernel (G7/K15,
-QUADPACK, Piessens et al. 1983), vectorised over the nodes of all
-panels of a family of integrals.  A panel's error estimate is
+Phases contribute an exact (2 pi)^2, and the moduli are parametrized by
+u_i = log rho_i, where the squared ambient norm has logarithm
+L = logsumexp{(2n+2)u1, (2n+2)u2, 2(u1+u2)}.  In s = u1+u2, d = u1-u2
+(du1 du2 = ds dd / 2, and everything is even in d)
+
+    L = 2s + softplus(psi),   psi = (n-1)s + log 2cosh((n+1)d),
+
+which is strictly increasing in s with dL/ds = 2 + (n-1) sigma(psi) in
+[2, n+1].  Taking l = L itself as the outer coordinate (coarea formula,
+Federer 1959) turns both regions into products and removes every
+indicator:
+
+    I~_k = (2 pi)^2 int_{-2e^{k+1}}^{-2e^k} dl / l^2
+                    int_0^inf sigma(-psi) / (2 + (n-1) sigma(psi)) dd,
+    ||omega||^2 = 2 pi^2 (n+1) int_0^inf e^{2 s*(d)} dd,
+
+with s*(d) the level s at l = 2 log eps (the inner s-integral of e^{2s}
+is exact), so e^{2 s*} = eps^2 sigma(-psi).
+
+The psi-form.  On a level l both s = (l - softplus psi)/2 and, with
+y = (n+1)d, log 2cosh y = psi + (n-1)(softplus psi - l)/2 are explicit in
+psi, which rises with d from psi0, its root at d = 0 (log 2cosh y =
+log 2), to infinity.  Then dd = (2 + (n-1) sigma(psi)) dpsi /
+(2(n+1) tanh y), and writing coth y = 1 + (coth y - 1) the part with 1
+integrates in closed form (sigma' = sigma(psi) sigma(-psi)):
+
+    int_0^inf sigma(-psi) / (2 + (n-1) sigma(psi)) dd
+        = [softplus(-psi0) + C(psi0)] / (2(n+1)),
+    ||omega||^2 = pi^2 eps^2 [2 softplus(-psi0) + (n-1) sigma(-psi0) + C'(psi0)],
+
+where C and C' integrate the excess coth y - 1 over psi > psi0 against
+sigma(-psi) and sigma(-psi)(2 + (n-1) sigma(psi)).  The d-form's corner
+at d* = (n-1)|l| / (2(n+1)), where the integrands turn within about
+40/(n+1), lies inside the closed-form softplus; only the excess is left
+to the adaptive rule.  With cosh y = e^delta,
+
+    delta = v^2 + (n-1)/2 log1p(sigma(psi0) expm1(v^2)),  psi = psi0 + v^2,
+
+the excess is 1/sqrt(1 - e^{-2 delta}) - 1.  It has an inverse square
+root at psi = psi0, which the substitution v = sqrt(psi - psi0)
+(dpsi = 2v dv) removes: the v-integrand is smooth and bounded, and is
+integrated on the breakpoints 0, 1, 2 and V = _V_CUT = 6.  `_tail_bound`
+bounds what the cut drops at each level; a truncation bound is that
+times the scale, (2 pi)^2 / (2(n+1)) times int_band dl / l^2 =
+(1 - e^{-1}) / (2e^k) for I~_k, and pi^2 eps^2 for ||omega||^2.  The
+only level-equation solve is psi0 (`_level_psi0`), one Newton per level;
+for n = 1, psi0 = log 2.  The closed-form part adds 50 eps_mach of itself
+to the error estimate, for the rounding of psi0 and softplus.
+
+The kernel.  Both integrals run on one adaptive Gauss-Kronrod kernel
+(G7/K15, QUADPACK, Piessens et al. 1983), vectorised over the nodes of
+all panels of a family of integrals.  A panel's error estimate is
 |K15 - G7|, floored at 50 eps_mach sum h |K| and increased by the
 errors of nested inner integrals weighted by the outer rule.  Each
 integral of a family keeps its own tolerance and one running panel
-count, its nested integrals' panels included, and stops once that count
-reaches the one budget MAX_PANELS, so it refines as it would alone:
-`annulus_bands` computes all bands I~_k of a table in one family (its
-inner integrals, one per level, are a second family), while
-`level_norm` is a family of one.  An integral without nested ones never
-passes MAX_PANELS; a nested one can pass it within its last round, whose
-inner panels are counted only once evaluated.
+count, its nested integrals' panels included, so it refines as it would
+alone: `annulus_bands` computes all bands I~_k of a table in one family
+(its inner integrals, one per level, are a second family), while
+`level_norm` is a family of one.  At rel_tol 1e-4 every level converges
+on the four v-points, so a table costs two kernel rounds (its bands,
+then all their levels at once) and a norm one.
 
-Along a level l the integrands are written in psi (see `quadrature` for
-the derivation): `_level_psi0` solves the level equation at d = 0 for
-psi0, and `_psi_integral` returns int_{psi0}^inf sigma(-psi)
-(a + b sigma(psi)) coth y dpsi as its closed-form part
-a softplus(-psi0) + b sigma(-psi0) plus the excess coth y - 1,
-integrated in v = sqrt(psi - psi0) on the breakpoints 0, 1, 2, _V_CUT,
-where `tail_bound` bounds what the cut drops.  Only psi0 needs Newton,
-once per level; no solve runs per inner node.  At rel_tol 1e-4 every
-level converges on these four points, so a table costs two kernel
-rounds (its bands, then all their levels at once) and a norm one.
-
-The functions here return the kernel's raw (value, error, panels), as
-arrays with one entry per band for `annulus_bands`; `quadrature` checks
-the arguments first, imports this module, and scales, bounds and checks
-the result.
+`quadrature` checks the arguments and then calls `annulus_bands` or
+`level_norm`, which return finished QuadratureResults: scaled, with their
+truncation bounds, or raised in a QuadratureBudgetError when the budget
+MAX_PANELS stops them short of the tolerance.
 """
 
 from __future__ import annotations
@@ -37,6 +74,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .quadrature import QuadratureBudgetError, QuadratureResult
 
 # QUADPACK qk15: Kronrod nodes in ascending order; the Gauss nodes are
 # every second one, starting at index 1.
@@ -71,7 +110,7 @@ _WK = np.array(list(_WK_HALF) + [_WK_CENTER] + list(reversed(_WK_HALF)))
 _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 
 _ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
-# the v-axis is cut at _V_CUT; tail_bound bounds what the cut drops
+# the v-axis is cut at _V_CUT; _tail_bound bounds what the cut drops
 _V_CUT = 6.0
 _V_POINTS = np.array([0.0, 1.0, 2.0, _V_CUT])
 _LOG_2 = math.log(2.0)
@@ -107,29 +146,26 @@ def _kronrod(f, lo, hi, rows, m):
 def _gauss_kronrod(f, points, rel_tol):
     """Adaptive G7/K15 for a family of integrals int f(x, j) dx, j = 0..m-1.
 
-    points: array (m, p) of breakpoints per integral; panels of zero width
-    are dropped.  f(x, rows) returns (values, node errors, inner panels)
-    for the node array x, shape (P, 15), of P panels and their integrals
-    rows, shape (P,); node errors and inner panels are 0, or arrays shaped
-    like x holding the errors of nested integrals and the panels they
-    evaluated at each node.  Every panel of an integral whose error
-    exceeds its tolerance rel_tol |value| bisects while its own error
-    exceeds that tolerance's equal share per panel.  Each integral keeps
-    one running count of the panels it evaluated: its initial ones, two
-    per split and the inner panels of its nested integrals.  It stops when
-    it meets its tolerance or its count reaches MAX_PANELS, so it refines
-    as it would alone.  An integral without nested ones also stops, short
-    of its tolerance, before a round of splits that would carry it past
-    MAX_PANELS.  Returns arrays (values, errors, panels), one entry per
-    integral.
+    points: array (m, p) of strictly increasing breakpoints per integral.
+    f(x, rows) returns (values, node errors, inner panels) for the node
+    array x, shape (P, 15), of P panels and their integrals rows, shape
+    (P,); node errors and inner panels are 0, or arrays shaped like x
+    holding the errors of nested integrals and the panels they evaluated
+    at each node.  Every panel of an integral whose error exceeds its
+    tolerance rel_tol |value| bisects while its own error exceeds that
+    tolerance's equal share per panel.  Each integral keeps one running
+    count of the panels it evaluated: its initial ones, two per split and
+    the inner panels of its nested integrals.  It stops when it meets its
+    tolerance, when its count reaches MAX_PANELS, or short of a round of
+    splits whose two panels each would carry its count past MAX_PANELS.
+    The inner panels of a round are known only once evaluated, so a
+    nested integral can still pass MAX_PANELS within its last round.
+    Returns arrays (values, errors, panels), one entry per integral.
     """
     m = points.shape[0]
     lo, hi = points[:, :-1].ravel(), points[:, 1:].ravel()
     rows = np.repeat(np.arange(m), points.shape[1] - 1)
-    nonempty = hi != lo
-    lo, hi, rows = lo[nonempty], hi[nonempty], rows[nonempty]
     val, err, inner = _kronrod(f, lo, hi, rows, m)
-    nested = isinstance(inner, np.ndarray)
     panels = np.bincount(rows, minlength=m) + inner
     while True:
         value = np.bincount(rows, val, m)
@@ -140,12 +176,9 @@ def _gauss_kronrod(f, points, rel_tol):
             return value, error, panels
         share = tol / np.bincount(rows, minlength=m)
         split = unmet[rows] & (err > share[rows])
-        if not nested:
-            # an integral without nested ones stops short of a round of
-            # splits, two panels each, that would pass its budget
-            split &= (panels + 2 * np.bincount(rows[split], minlength=m) <= MAX_PANELS)[rows]
-            if not split.any():
-                return value, error, panels
+        split &= (panels + 2 * np.bincount(rows[split], minlength=m) <= MAX_PANELS)[rows]
+        if not split.any():
+            return value, error, panels
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
@@ -220,7 +253,7 @@ def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float):
     return main + values, errors + _ROUNDOFF_FLOOR * main, panels
 
 
-def tail_bound(a: float, b: float) -> float:
+def _tail_bound(a: float, b: float) -> float:
     """Bound on what the cut at v = _V_CUT drops from _psi_integral(.., a, b, ..).
 
     delta >= v^2 and coth y - 1 <= 1/(e^{2 delta} - 1), and the weight
@@ -230,12 +263,27 @@ def tail_bound(a: float, b: float) -> float:
     return (a + 0.25 * b) * cut / (2.0 * (1.0 - cut))
 
 
+def _result(value, error, panels, scale, truncation, rel_tol) -> QuadratureResult:
+    """The kernel's result times scale, or QuadratureBudgetError carrying it
+    if the kernel stopped short of the tolerance."""
+    result = QuadratureResult(
+        max(scale * float(value), 0.0), scale * float(error), int(panels), truncation
+    )
+    if not error <= rel_tol * abs(value):
+        raise QuadratureBudgetError(
+            f"subregion budget {MAX_PANELS} exhausted "
+            f"(value {result.value:.6e}, rel err {error / max(abs(value), 1e-300):.2e})",
+            result,
+        )
+    return result
+
+
 # -- the two integrals -----------------------------------------------------------
 
-def annulus_bands(n: int, ks, rel_tol: float):
-    """int over the band -2e^{k+1} < ell < -2e^k of
-    int_{psi0(ell)}^inf sigma(-psi) coth y dpsi dell / ell^2 for each k in
-    ks, one family with a row per band: arrays (values, errors, panels)."""
+def annulus_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...]:
+    """I~_k = (2 pi)^2 / (2(n+1)) int over the band -2e^{k+1} < ell < -2e^k
+    of int_{psi0(ell)}^inf sigma(-psi) coth y dpsi dell / ell^2 for each k
+    in ks, one family with a row per band."""
 
     def level_density(ell, rows):
         """int_{psi0}^inf sigma(-psi) coth y dpsi / ell^2 at each level ell."""
@@ -251,12 +299,20 @@ def annulus_bands(n: int, ks, rel_tol: float):
         )
 
     bands = np.array([[-2.0 * math.exp(k + 1), -2.0 * math.exp(k)] for k in ks])
-    return _gauss_kronrod(level_density, bands, rel_tol)
+    values, errors, panels = _gauss_kronrod(level_density, bands, rel_tol)
+    scale = 4.0 * math.pi**2 / (2.0 * (n + 1))
+    results = []
+    for k, value, error, count in zip(ks, values, errors, panels):
+        # the cut's bound at each level, times int_band dl / l^2
+        tail = scale * _tail_bound(1.0, 0.0) * (1.0 - math.exp(-1.0)) / (2.0 * math.exp(k))
+        results.append(_result(value, error, count, scale, tail, rel_tol))
+    return tuple(results)
 
 
-def level_norm(n: int, level: float, rel_tol: float):
-    """int_{psi0}^inf sigma(-psi) (2 + (n-1) sigma(psi)) coth y dpsi on the
-    level L = level: (value, error, panels)."""
-    psi0 = _level_psi0(n, np.array([level]))
-    value, error, panels = _psi_integral(n, psi0, 2.0, n - 1.0, rel_tol)
-    return value[0], error[0], panels[0]
+def level_norm(n: int, eps: float, rel_tol: float) -> QuadratureResult:
+    """||omega||^2 = pi^2 eps^2 int_{psi0}^inf sigma(-psi) (2 + (n-1) sigma(psi))
+    coth y dpsi on the level L = 2 log eps."""
+    psi0 = _level_psi0(n, np.array([2.0 * math.log(eps)]))
+    (value,), (error,), (panels,) = _psi_integral(n, psi0, 2.0, n - 1.0, rel_tol)
+    scale = math.pi**2 * eps**2
+    return _result(value, error, panels, scale, scale * _tail_bound(2.0, n - 1.0), rel_tol)

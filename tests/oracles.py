@@ -32,7 +32,10 @@ import numpy as np
 from duval_kind import levelset
 from duval_kind.cycles import Cycle, CycleError
 from duval_kind.dual_graph import DualGraph, ParameterError, ade_type
-from duval_kind.quadrature import TWO_PI_SQ, QuadratureResult, integral_Ik_bands
+from duval_kind.quadrature import QuadratureResult, integral_Ik_bands
+
+# the phases' exact factor (2 pi)^2
+TWO_PI_SQ = 4.0 * math.pi**2
 
 
 # -- dense reference for the intersection form --------------------------------

@@ -1,0 +1,64 @@
+"""The psi-form is private to levelset: quadrature reaches it through the
+two entry points only, and no other module of src/duval_kind names it."""
+
+import ast
+import os
+
+REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PACKAGE_DIR = os.path.join(REPO_ROOT, "src", "duval_kind")
+ENTRY_POINTS = {"annulus_bands", "level_norm"}
+
+
+def parsed_modules() -> dict[str, ast.Module]:
+    modules = {}
+    for entry in sorted(os.listdir(PACKAGE_DIR)):
+        if entry.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, entry), encoding="utf-8") as fh:
+                modules[entry[:-3]] = ast.parse(fh.read(), filename=entry)
+    return modules
+
+
+def identifiers(tree: ast.AST) -> set[str]:
+    """Every name the code of a module uses: names, attributes, and the
+    parts of imported module names (an alias shows up as a name)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.update(node.module.split("."))
+    return found
+
+
+def test_quadrature_calls_only_the_two_entry_points():
+    tree = parsed_modules()["quadrature"]
+    attributes = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "levelset"
+    }
+    assert attributes <= ENTRY_POINTS
+    imported_from = {
+        node.module.split(".")[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+    }
+    assert "levelset" not in imported_from  # only `from . import levelset`
+
+
+def test_no_other_module_names_levelset():
+    for name, tree in parsed_modules().items():
+        if name not in ("quadrature", "levelset"):
+            assert "levelset" not in identifiers(tree), name
+
+
+def test_levelset_has_no_public_tail_bound():
+    from duval_kind import levelset
+
+    assert not hasattr(levelset, "tail_bound")

@@ -216,6 +216,10 @@ MALFORMED_ARGV = {
     "classify-E-tol-1e-9": ["classify", "E", "6", "--numerics", "--tol", "1e-9"],
     # in-process only: an OS argv cannot carry NUL
     "graph-path-with-nul": ["fundamental-cycle", "--graph", "a\x00b"],
+    # a file or equation and a positional: neither is dropped in silence
+    "graph-and-type-index": ["fundamental-cycle", "--graph", "GRAPH", "A", "3"],
+    "graph-and-type": ["fundamental-cycle", "--graph", "GRAPH", "A"],
+    "equation-and-type-index": ["residue", "--equation", "x^2", "A", "1"],
 }
 
 
@@ -224,7 +228,10 @@ MALFORMED_ARGV = {
 )
 def test_malformed_input_exits_2(capsys, tmp_path, case):
     if case in MALFORMED_ARGV:
-        argv = MALFORMED_ARGV[case]
+        # GRAPH is a valid file, so that the conflict is the only fault
+        path = tmp_path / "a2.json"
+        path.write_text(json.dumps({"vertices": TWO_VERTICES, "edges": [{"a": 0, "b": 1}]}))
+        argv = [str(path) if a == "GRAPH" else a for a in MALFORMED_ARGV[case]]
     else:
         path = tmp_path
         if case in MALFORMED_GRAPHS:

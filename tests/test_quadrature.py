@@ -61,15 +61,20 @@ def test_range_errors():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("ks", [(1, 2, 3, 4), (4, 2)])
-def test_band_family_matches_lone_integrals(n, ks):
+@pytest.mark.parametrize(
+    "ks,tol",
+    [((1, 2, 3, 4), 1e-4), ((4, 2), 1e-4), ((1, 2, 3, 4), 1e-8), ((4, 2), 1e-8)],
+    ids=["ks0", "ks1", "ks0-tol1e-8", "ks1-tol1e-8"],
+)
+def test_band_family_matches_lone_integrals(n, ks, tol):
     # each row of the family refines as its band alone: the same panels and
     # truncation bound, and values equal up to rounding (BLAS sums of a
-    # different length, and Newton steps shared with the other bands' nodes)
-    family = integral_Ik_bands(n, ks, 1e-4)
+    # different length, and Newton steps shared with the other bands' nodes);
+    # at 1e-4 no panel splits, at 1e-8 the rows use 104-330 panels
+    family = integral_Ik_bands(n, ks, tol)
     assert len(family) == len(ks)
     for k, row in zip(ks, family):
-        alone = integral_Ik(n, k, 1e-4)
+        alone = integral_Ik(n, k, tol)
         assert row.subregions_used == alone.subregions_used
         assert row.truncation_bound == alone.truncation_bound
         assert row.value == pytest.approx(alone.value, rel=1e-14, abs=0.0)
@@ -397,3 +402,12 @@ def test_nested_family_passes_the_budget_within_its_last_round(monkeypatch):
     # starts the round below MAX_PANELS can end it far above
     monkeypatch.setattr(levelset, "MAX_PANELS", 200)
     assert integral_Ik(2, 1, 1e-8).subregions_used == 330
+
+
+def test_nested_family_skips_a_round_whose_splits_pass_the_budget(monkeypatch):
+    # at 112 panels the next round splits one outer panel: its two new
+    # panels alone would make 114 > 113, so the round does not run
+    monkeypatch.setattr(levelset, "MAX_PANELS", 113)
+    with pytest.raises(QuadratureBudgetError) as info:
+        integral_Ik(2, 1, 1e-8)
+    assert info.value.partial.subregions_used == 112

@@ -9,9 +9,9 @@ L = logsumexp{(2n+2)u1, (2n+2)u2, 2(u1+u2)}.  In s = u1+u2, d = u1-u2
     L = 2s + softplus(psi),   psi = (n-1)s + log 2cosh((n+1)d),
 
 which is strictly increasing in s with dL/ds = 2 + (n-1) sigma(psi) in
-[2, n+1].  Taking l = L itself as the outer coordinate (coarea formula,
-Federer 1959) turns both regions into products and removes every
-indicator:
+[2, n+1].  Taking the levels of L as the outer coordinate (coarea
+formula, Federer 1959) turns both regions into products and removes
+every indicator:
 
     I~_k = (2 pi)^2 int_{-2e^{k+1}}^{-2e^k} dl / l^2
                     int_0^inf sigma(-psi) / (2 + (n-1) sigma(psi)) dd,
@@ -20,9 +20,20 @@ indicator:
 with s*(d) the level s at l = 2 log eps (the inner s-integral of e^{2s}
 is exact), so e^{2 s*} = eps^2 sigma(-psi).
 
+Each level is labelled by s0, its s on the diagonal d = 0.  There
+psi0 = (n-1) s0 + log 2, and the level and its slope are explicit:
+
+    L(s0) = 2 s0 + softplus(psi0),   dL/ds0 = 2 + (n-1) sigma(psi0),
+
+so the band integral runs over s0 with weight (dL/ds0) / L(s0)^2,
+between the roots s0 at the band's two ends, and the norm's level
+l = 2 log eps has one root.  The root (`_level_s0`) is the one
+level-equation solve: a scalar Newton once per band end (adjacent bands
+share one) and once per norm, never at a node of the kernel.
+
 The psi-form.  On a level l both s = (l - softplus psi)/2 and, with
 y = (n+1)d, log 2cosh y = psi + (n-1)(softplus psi - l)/2 are explicit in
-psi, which rises with d from psi0, its root at d = 0 (log 2cosh y =
+psi, which rises with d from psi0, its value at d = 0 (log 2cosh y =
 log 2), to infinity.  Then dd = (2 + (n-1) sigma(psi)) dpsi /
 (2(n+1) tanh y), and writing coth y = 1 + (coth y - 1) the part with 1
 integrates in closed form (sigma' = sigma(psi) sigma(-psi)):
@@ -46,9 +57,8 @@ integrated on the breakpoints 0, 1, 2 and V = _V_CUT = 6.  `_tail_bound`
 bounds what the cut drops at each level; a truncation bound is that
 times the scale, (2 pi)^2 / (2(n+1)) times int_band dl / l^2 =
 (1 - e^{-1}) / (2e^k) for I~_k, and pi^2 eps^2 for ||omega||^2.  The
-only level-equation solve is psi0 (`_level_psi0`), one Newton per level;
-for n = 1, psi0 = log 2.  The closed-form part adds 50 eps_mach of itself
-to the error estimate, for the rounding of psi0 and softplus.
+closed-form part adds 50 eps_mach of itself to the error estimate, for
+the rounding of psi0 and softplus.
 
 The kernel.  Both integrals run on one adaptive Gauss-Kronrod kernel
 (G7/K15, QUADPACK, Piessens et al. 1983), vectorised over the nodes of
@@ -108,8 +118,16 @@ _WG_CENTER = 0.417959183673469387755102040816327
 _XK = np.array([-x for x in _XK_HALF] + [0.0] + list(reversed(_XK_HALF)))
 _WK = np.array(list(_WK_HALF) + [_WK_CENTER] + list(reversed(_WK_HALF)))
 _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
+# K15 in column 0 and G7 on the Gauss rows of column 1: one matrix product
+# gives both rules without a strided copy, and (under OpenBLAS 0.3) rounds
+# a row alike for any number of rows above one, where a matrix-vector
+# product rounds it by the row count's remainder mod 4
+_WKG = np.zeros((15, 2))
+_WKG[:, 0] = _WK
+_WKG[1::2, 1] = _WG
 
-_ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
+_ROUNDOFF_FLOOR = 50.0 * _EPS
 # the v-axis is cut at _V_CUT; _tail_bound bounds what the cut drops
 _V_CUT = 6.0
 _V_POINTS = np.array([0.0, 1.0, 2.0, _V_CUT])
@@ -131,8 +149,7 @@ def _kronrod(f, lo, hi, rows, m):
     half = 0.5 * (hi - lo)
     x = 0.5 * (hi + lo)[:, None] + half[:, None] * _XK
     fx, node_err, inner_panels = f(x, rows)
-    kronrod = half * (fx @ _WK)
-    gauss = half * (fx[:, 1::2] @ _WG)
+    kronrod, gauss = half * (fx @ _WKG).T
     width = np.abs(half)
     floor = _ROUNDOFF_FLOOR * width * (np.abs(fx) @ _WK)
     err = np.maximum(np.abs(kronrod - gauss), floor)
@@ -199,28 +216,25 @@ def _softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _level_psi0(n: int, ell):
-    """psi at d = 0 on the level L = ell, one root per entry of ell.
+def _level_s0(n: int, ell: float) -> float:
+    """s0, the value of s at d = 0 on the level L = ell: the root of
+    f(s) = 2s + softplus((n-1)s + log 2) - ell.
 
-    At d = 0 the level equation reads f(psi) = psi + (n-1)(softplus(psi)
-    - ell)/2 - log 2 = 0.  f is convex and increasing with slope in
-    [1, (n+1)/2], and f = (n-1) softplus / 2 >= 0 at the start
-    log 2 + (n-1) ell / 2, so Newton decreases monotonically onto the
-    root; for n = 1 the start is the root.
+    f is convex and increasing with slope 2 + (n-1) sigma(psi) in [2, n+1],
+    and f(ell/2) = softplus >= 0, so Newton from ell/2 decreases
+    monotonically onto the root; for n = 1, f is linear.
     """
-    half = 0.5 * (n - 1)
-    psi = _LOG_2 + half * ell
-    if n == 1:
-        return psi
-    # rounding noise of the residual f, over its least slope 1
-    tol = 4.0 * np.finfo(float).eps * (np.abs(psi) + half * np.abs(ell) + 1.0)
+    s = 0.5 * ell
+    # rounding noise of the residual f, over its least slope 2
+    tol = 4.0 * _EPS * (abs(ell) + 1.0)
     for _ in range(_NEWTON_STEPS):
-        sp = _softplus(psi)
-        step = (psi + half * (sp - ell) - _LOG_2) / (1.0 + half * np.exp(psi - sp))
-        psi = psi - step
-        if np.all(np.abs(step) <= tol):
-            return psi
-    raise ArithmeticError(f"Newton for the level psi did not converge in {_NEWTON_STEPS} steps")
+        psi = (n - 1) * s + _LOG_2
+        sp = max(psi, 0.0) + math.log1p(math.exp(-abs(psi)))
+        step = (2.0 * s + sp - ell) / (2.0 + (n - 1) * math.exp(psi - sp))
+        s -= step
+        if abs(step) <= tol:
+            return s
+    raise ArithmeticError(f"Newton for the level s0 did not converge in {_NEWTON_STEPS} steps")
 
 
 def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float):
@@ -281,24 +295,28 @@ def _result(value, error, panels, scale, truncation, rel_tol) -> QuadratureResul
 # -- the two integrals -----------------------------------------------------------
 
 def annulus_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...]:
-    """I~_k = (2 pi)^2 / (2(n+1)) int over the band -2e^{k+1} < ell < -2e^k
-    of int_{psi0(ell)}^inf sigma(-psi) coth y dpsi dell / ell^2 for each k
-    in ks, one family with a row per band."""
+    """I~_k = (2 pi)^2 / (2(n+1)) int over the band -2e^{k+1} < L < -2e^k
+    of int_{psi0}^inf sigma(-psi) coth y dpsi (dL/ds0) ds0 / L^2 for each k
+    in ks, one family with a row per band, integrated in s0 between the
+    roots at the band's two ends."""
 
-    def level_density(ell, rows):
-        """int_{psi0}^inf sigma(-psi) coth y dpsi / ell^2 at each level ell."""
-        flat = ell.ravel()
-        inner, inner_err, panels = _psi_integral(
-            n, _level_psi0(n, flat), 1.0, 0.0, _INNER_SHARE * rel_tol
-        )
-        weight = 1.0 / (flat * flat)
+    def level_density(s0, rows):
+        """int_{psi0}^inf sigma(-psi) coth y dpsi (dL/ds0) / L^2 at each s0."""
+        flat = s0.ravel()
+        psi0 = (n - 1) * flat + _LOG_2
+        inner, inner_err, panels = _psi_integral(n, psi0, 1.0, 0.0, _INNER_SHARE * rel_tol)
+        sp = _softplus(psi0)
+        ell = 2.0 * flat + sp
+        weight = (2.0 + (n - 1) * np.exp(psi0 - sp)) / (ell * ell)
         return (
-            (inner * weight).reshape(ell.shape),
-            (inner_err * weight).reshape(ell.shape),
-            panels.reshape(ell.shape),
+            (inner * weight).reshape(s0.shape),
+            (inner_err * weight).reshape(s0.shape),
+            panels.reshape(s0.shape),
         )
 
-    bands = np.array([[-2.0 * math.exp(k + 1), -2.0 * math.exp(k)] for k in ks])
+    # adjacent bands share an end: one root per distinct end
+    roots = {j: _level_s0(n, -2.0 * math.exp(j)) for j in {*ks, *(k + 1 for k in ks)}}
+    bands = np.array([[roots[k + 1], roots[k]] for k in ks])
     values, errors, panels = _gauss_kronrod(level_density, bands, rel_tol)
     scale = 4.0 * math.pi**2 / (2.0 * (n + 1))
     results = []
@@ -312,7 +330,7 @@ def annulus_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...]:
 def level_norm(n: int, eps: float, rel_tol: float) -> QuadratureResult:
     """||omega||^2 = pi^2 eps^2 int_{psi0}^inf sigma(-psi) (2 + (n-1) sigma(psi))
     coth y dpsi on the level L = 2 log eps."""
-    psi0 = _level_psi0(n, np.array([2.0 * math.log(eps)]))
-    (value,), (error,), (panels,) = _psi_integral(n, psi0, 2.0, n - 1.0, rel_tol)
+    psi0 = (n - 1) * _level_s0(n, 2.0 * math.log(eps)) + _LOG_2
+    (value,), (error,), (panels,) = _psi_integral(n, np.array([psi0]), 2.0, n - 1.0, rel_tol)
     scale = math.pi**2 * eps**2
     return _result(value, error, panels, scale, scale * _tail_bound(2.0, n - 1.0), rel_tol)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from duval_kind import levelset
-from duval_kind.levelset import _WG, _WK, _XK, _level_psi0, _psi_integral
+from duval_kind.levelset import _WG, _WK, _XK, _level_s0, _psi_integral
 from duval_kind.quadrature import (
     QuadratureBudgetError,
     QuadratureRangeError,
@@ -68,9 +68,9 @@ def test_range_errors():
 )
 def test_band_family_matches_lone_integrals(n, ks, tol):
     # each row of the family refines as its band alone: the same panels and
-    # truncation bound, and values equal up to rounding (BLAS sums of a
-    # different length, and Newton steps shared with the other bands' nodes);
-    # at 1e-4 no panel splits, at 1e-8 the rows use 104-330 panels
+    # truncation bound, and values equal up to rounding (BLAS products over
+    # a different number of panels round a row differently);
+    # at 1e-4 no panel splits, at 1e-8 the rows use 106-330 panels
     family = integral_Ik_bands(n, ks, tol)
     assert len(family) == len(ks)
     for k, row in zip(ks, family):
@@ -280,16 +280,17 @@ def test_level_s_solves_the_level_equation(n):
     assert np.all(np.abs(residual) <= 1e-13 * (np.abs(ell) + (n + 1) * np.abs(s) + 1.0))
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 10**6, 2**53])
-def test_level_psi0_solves_the_level_equation_at_d0(n):
-    # psi + (n-1)(softplus(psi) - ell)/2 = log 2cosh(0) = log 2
-    ell = np.array([-0.5, -1.4, -2.0, -5.4, -30.0, -300.0])
-    psi0 = _level_psi0(n, ell)
-    half = 0.5 * (n - 1)
-    sp = np.logaddexp(0.0, psi0)
-    residual = psi0 + half * (sp - ell) - math.log(2.0)
-    scale = np.abs(psi0) + half * (sp + np.abs(ell)) + 1.0
-    assert np.all(np.abs(residual) <= 8.0 * np.finfo(float).eps * scale)
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 10**6, 2**53])
+def test_level_s0_solves_the_level_equation_at_d0(n):
+    # 2s + softplus((n-1)s + log 2) = ell at the band ends -2e^j and the
+    # norm levels 2 log eps
+    ells = [-2.0 * math.exp(j) for j in range(1, 6)] + [2.0 * math.log(eps) for eps in (1e-3, 0.5)]
+    for ell in ells:
+        s = _level_s0(n, ell)
+        sp = float(np.logaddexp(0.0, (n - 1) * s + math.log(2.0)))
+        residual = 2.0 * s + sp - ell
+        scale = 2.0 * abs(s) + sp + abs(ell) + 1.0
+        assert abs(residual) <= 8.0 * np.finfo(float).eps * scale, ell
 
 
 def test_psi_integral_closed_forms():
@@ -360,6 +361,26 @@ def test_levels_converge_in_one_kronrod_round(monkeypatch, n):
         calls.clear()
         structure_form_l2_norm(n, eps, 1e-4)
         assert len(calls) == 1, eps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level_equation_is_solved_outside_kernel_rounds(monkeypatch, n):
+    # the root s0 is solved at the ends of the bands and at the one level
+    # of a norm, never at a node: a table makes as many calls at 1e-8,
+    # where outer panels split, as at 1e-4
+    calls = []
+    solve = levelset._level_s0
+    monkeypatch.setattr(levelset, "_level_s0", lambda *args: calls.append(1) or solve(*args))
+    counts = []
+    for tol in (1e-4, 1e-8):
+        calls.clear()
+        integral_Ik_bands(n, (1, 2, 3, 4), tol)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2 * 4
+    for tol in (1e-4, 1e-8):
+        calls.clear()
+        structure_form_l2_norm(n, 1e-3, tol)
+        assert len(calls) == 1
 
 
 def test_panel_budget_bounds_a_flat_family(monkeypatch):

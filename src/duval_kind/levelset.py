@@ -56,20 +56,30 @@ root at psi = psi0, which the substitution v = sqrt(psi - psi0)
 integrated on the breakpoints 0, 1, 2 and V = _V_CUT = 6.  `_tail_bound`
 bounds what the cut drops at each level; a truncation bound is that
 times the scale, (2 pi)^2 / (2(n+1)) times int_band dl / l^2 =
-(1 - e^{-1}) / (2e^k) for I~_k, and pi^2 eps^2 for ||omega||^2.  The
-closed-form part adds 50 eps_mach of itself to the error estimate, for
-the rounding of psi0 and softplus.
+(1 - e^{-1}) / (2e^k) for I~_k, and pi^2 eps^2 for ||omega||^2.
+
+In floats, every level carries e0 = e^{psi0}.  Every level has l < 0,
+and f(0) = log 3 > 0 in `_level_s0`, so s0 < 0 and psi0 <= log 2: e0 <= 2
+never overflows.  From e0 come softplus(-psi0) = log1p(e0) - psi0,
+sigma(-psi0) = 1/(1 + e0), sigma(psi0) = e0/(1 + e0), L(s0) and dL/ds0,
+and at each node sigma(-psi) = 1/(1 + e0 e^{v^2}), where
+e0 e^{v^2} <= 2 e^36.  A node then costs five transcendental passes:
+expm1(v^2), the log1p of delta, expm1(-2 delta), its square root and
+e^{-2 delta}; the weight a + b sigma(psi) costs a pass only where b != 0,
+in the norm.  The closed-form part adds 50 eps_mach of itself to the
+error estimate, for the rounding of psi0 and e0.
 
 The kernel.  Both integrals run on one adaptive Gauss-Kronrod kernel
 (G7/K15, QUADPACK, Piessens et al. 1983), vectorised over the nodes of
 all panels of a family of integrals.  A panel's error estimate is
-|K15 - G7|, floored at 50 eps_mach sum h |K| and increased by the
-errors of nested inner integrals weighted by the outer rule.  Each
-integral of a family keeps its own tolerance and one running panel
-count, its nested integrals' panels included, so it refines as it would
-alone: `annulus_bands` computes all bands I~_k of a table in one family
-(its inner integrals, one per level, are a second family), while
-`level_norm` is a family of one.  At rel_tol 1e-4 every level converges
+|K15 - G7|, floored at 50 eps_mach K15 (both integrands are >= 0, so
+K15 is the rule's sum h |f|) and increased by the errors of nested inner
+integrals weighted by the outer rule.  Each integral of a family keeps
+its own tolerance and one running panel count, its nested integrals'
+panels included, so it refines as it would alone: `annulus_bands`
+computes all bands I~_k of a table in one family (its inner integrals,
+one per level, are a second family), while `level_norm` is a family of
+one.  At rel_tol 1e-4 every level converges
 on the four v-points, so a table costs two kernel rounds (its bands,
 then all their levels at once) and a norm one.
 
@@ -121,7 +131,8 @@ _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 # K15 in column 0 and G7 on the Gauss rows of column 1: one matrix product
 # gives both rules without a strided copy, and (under OpenBLAS 0.3) rounds
 # a row alike for any number of rows above one, where a matrix-vector
-# product rounds it by the row count's remainder mod 4
+# product rounds it by the row count's remainder mod 4; the nested errors
+# take column 0 of the same product for that reason
 _WKG = np.zeros((15, 2))
 _WKG[:, 0] = _WK
 _WKG[1::2, 1] = _WG
@@ -150,11 +161,9 @@ def _kronrod(f, lo, hi, rows, m):
     x = 0.5 * (hi + lo)[:, None] + half[:, None] * _XK
     fx, node_err, inner_panels = f(x, rows)
     kronrod, gauss = half * (fx @ _WKG).T
-    width = np.abs(half)
-    floor = _ROUNDOFF_FLOOR * width * (np.abs(fx) @ _WK)
-    err = np.maximum(np.abs(kronrod - gauss), floor)
+    err = np.maximum(np.abs(kronrod - gauss), _ROUNDOFF_FLOOR * kronrod)
     if isinstance(node_err, np.ndarray):
-        err = err + width * (node_err @ _WK)
+        err = err + half * (node_err @ _WKG)[:, 0]
     if isinstance(inner_panels, np.ndarray):
         inner_panels = np.bincount(rows, inner_panels.sum(axis=1), m)
     return kronrod, err, inner_panels
@@ -168,7 +177,9 @@ def _gauss_kronrod(f, points, rel_tol):
     array x, shape (P, 15), of P panels and their integrals rows, shape
     (P,); node errors and inner panels are 0, or arrays shaped like x
     holding the errors of nested integrals and the panels they evaluated
-    at each node.  Every panel of an integral whose error exceeds its
+    at each node.  The values must be >= 0: a panel's roundoff floor is
+    50 eps_mach of its K15 value, which stands for 50 eps_mach int |f|
+    only then.  Every panel of an integral whose error exceeds its
     tolerance rel_tol |value| bisects while its own error exceeds that
     tolerance's equal share per panel.  Each integral keeps one running
     count of the panels it evaluated: its initial ones, two per split and
@@ -212,10 +223,6 @@ def _gauss_kronrod(f, points, rel_tol):
 
 # -- level-set coordinates -----------------------------------------------------
 
-def _softplus(x):
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
 def _level_s0(n: int, ell: float) -> float:
     """s0, the value of s at d = 0 on the level L = ell: the root of
     f(s) = 2s + softplus((n-1)s + log 2) - ell.
@@ -239,31 +246,35 @@ def _level_s0(n: int, ell: float) -> float:
 
 def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float):
     """int_{psi0}^inf sigma(-psi) (a + b sigma(psi)) coth y dpsi for each
-    entry of psi0, as one family: arrays (values, errors, panels).
+    entry of psi0 <= log 2, as one family: arrays (values, errors, panels).
 
-    The coth y = 1 part is a softplus(-psi0) + b sigma(-psi0) in closed
-    form; the excess coth y - 1 is integrated in v = sqrt(psi - psi0) on
-    the breakpoints 0, 1, 2, _V_CUT, where cosh y = e^delta with
-    delta = v^2 + (n-1)/2 log1p(sigma(psi0) expm1(v^2)).  The excess
-    falls as e^{-2 delta} <= e^{-2v^2}: with 2 a breakpoint, every panel
-    resolves it at rel_tol 1e-4 without a split, for n up to 2^53.
+    With e0 = e^psi0, the coth y = 1 part is a (log1p(e0) - psi0) +
+    b / (1 + e0) in closed form; the excess coth y - 1 is integrated in
+    v = sqrt(psi - psi0) on the breakpoints 0, 1, 2, _V_CUT, where
+    cosh y = e^delta with delta = v^2 + (n-1)/2 log1p(p expm1(v^2)),
+    p = e0 / (1 + e0), and sigma(-psi) = 1 / (1 + e0 e^{v^2}), whose
+    e0 e^{v^2} <= 2 e^36 cannot overflow.  The excess falls as
+    e^{-2 delta} <= e^{-2v^2}: with 2 a breakpoint, every panel resolves it
+    at rel_tol 1e-4 without a split, for n up to 2^53.
     """
-    p = np.exp(psi0 - _softplus(psi0))
+    e0 = np.exp(psi0)
+    p = e0 / (1.0 + e0)
     half = 0.5 * (n - 1)
 
     def excess(v, rows):
         w = v * v
-        psi = psi0[rows, None] + w
-        sp = _softplus(psi)
-        delta = w + half * np.log1p(p[rows, None] * np.expm1(w))
+        grow = np.expm1(w)
+        e_psi = e0[rows, None] * (1.0 + grow)
+        sigma_neg = 1.0 / (1.0 + e_psi)
+        decay = -2.0 * (w + half * np.log1p(p[rows, None] * grow))
         # coth y - 1 = 1/sqrt(q) - 1 with q = 1 - e^{-2 delta}, free of cancellation
-        root_q = np.sqrt(-np.expm1(-2.0 * delta))
-        weight = a + b * np.exp(psi - sp)
-        return 2.0 * v * weight * np.exp(-sp - 2.0 * delta) / (root_q * (1.0 + root_q)), 0.0, 0
+        root_q = np.sqrt(-np.expm1(decay))
+        weight = a + b * e_psi * sigma_neg if b else a
+        return 2.0 * weight * v * sigma_neg * np.exp(decay) / (root_q * (1.0 + root_q)), 0.0, 0
 
-    points = np.broadcast_to(_V_POINTS, (len(psi0), len(_V_POINTS)))
+    points = _V_POINTS[None, :].repeat(len(psi0), axis=0)
     values, errors, panels = _gauss_kronrod(excess, points, rel_tol)
-    main = a * _softplus(-psi0) + b * np.exp(-_softplus(psi0))
+    main = a * (np.log1p(e0) - psi0) + b / (1.0 + e0)
     return main + values, errors + _ROUNDOFF_FLOOR * main, panels
 
 
@@ -305,9 +316,9 @@ def annulus_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...]:
         flat = s0.ravel()
         psi0 = (n - 1) * flat + _LOG_2
         inner, inner_err, panels = _psi_integral(n, psi0, 1.0, 0.0, _INNER_SHARE * rel_tol)
-        sp = _softplus(psi0)
-        ell = 2.0 * flat + sp
-        weight = (2.0 + (n - 1) * np.exp(psi0 - sp)) / (ell * ell)
+        e0 = np.exp(psi0)
+        ell = 2.0 * flat + np.log1p(e0)
+        weight = (2.0 + (n - 1) * e0 / (1.0 + e0)) / (ell * ell)
         return (
             (inner * weight).reshape(s0.shape),
             (inner_err * weight).reshape(s0.shape),

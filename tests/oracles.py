@@ -333,8 +333,9 @@ def _monte_carlo(f, n, lo, hi, scale, samples, seed):
 # -- 1-D drill integrator ---------------------------------------------------------
 
 def adaptive_1d(f, a: float, b: float, rel_tol: float):
-    """Adaptive G7/K15 on [a, b] for a smooth integrand f that maps an array
-    of nodes to an array of values; returns (value, error_estimate)."""
+    """Adaptive G7/K15 on [a, b] for a smooth integrand f >= 0 (the kernel's
+    roundoff floor assumes it) that maps an array of nodes to an array of
+    values; returns (value, error_estimate)."""
     (value,), (error,), _ = levelset._gauss_kronrod(
         lambda x, rows: (f(x), 0.0, 0), np.array([[a, b]], dtype=float), rel_tol
     )

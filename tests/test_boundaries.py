@@ -1,5 +1,7 @@
 """The psi-form is private to levelset: quadrature reaches it through the
-two entry points only, and no other module of src/duval_kind names it."""
+two entry points only, and no other module of src/duval_kind names it.
+Inside levelset, the psi-form keeps to e0 = e^psi0 (no softplus) and the
+kernel to (15, 2) rule products (no matrix-vector product with _WK)."""
 
 import ast
 import os
@@ -62,3 +64,22 @@ def test_levelset_has_no_public_tail_bound():
     from duval_kind import levelset
 
     assert not hasattr(levelset, "tail_bound")
+
+
+def test_levelset_kernel_has_no_softplus_and_no_matrix_vector_rule():
+    # the psi-form runs on e0 = e^psi0, and the kernel's only rule products
+    # are (15, 2) matrix products, which round a row alike for any row count
+    tree = parsed_modules()["levelset"]
+    assert "_softplus" not in identifiers(tree)
+    assert not any(
+        isinstance(node, ast.FunctionDef) and node.name == "_softplus" for node in ast.walk(tree)
+    )
+    matvec = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.MatMult)
+        and isinstance(node.right, ast.Name)
+        and node.right.id == "_WK"
+    ]
+    assert not matvec

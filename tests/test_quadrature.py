@@ -283,7 +283,8 @@ def test_level_s_solves_the_level_equation(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 10**6, 2**53])
 def test_level_s0_solves_the_level_equation_at_d0(n):
     # 2s + softplus((n-1)s + log 2) = ell at the band ends -2e^j and the
-    # norm levels 2 log eps
+    # norm levels 2 log eps; s0 < 0 there, so psi0 <= log 2 and the levels'
+    # e0 = e^psi0 <= 2
     ells = [-2.0 * math.exp(j) for j in range(1, 6)] + [2.0 * math.log(eps) for eps in (1e-3, 0.5)]
     for ell in ells:
         s = _level_s0(n, ell)
@@ -291,6 +292,7 @@ def test_level_s0_solves_the_level_equation_at_d0(n):
         residual = 2.0 * s + sp - ell
         scale = 2.0 * abs(s) + sp + abs(ell) + 1.0
         assert abs(residual) <= 8.0 * np.finfo(float).eps * scale, ell
+        assert s < 0.0, ell
 
 
 def test_psi_integral_closed_forms():
@@ -302,6 +304,21 @@ def test_psi_integral_closed_forms():
     # (1 - tanh y) dy = log 2; at psi0 = -60 both limits hold to e^{-40}
     (value,), _, _ = _psi_integral(5, np.array([-60.0]), 1.0, 0.0, 1e-12)
     assert value - 60.0 == pytest.approx(math.log(2.0), abs=2.0 * math.ulp(value))
+
+
+def test_psi_integral_weight_with_sigma_psi():
+    # the norm's weight a + b sigma(psi): at psi0 = -60, sigma(psi) < e^{-20}
+    # up to v = 6, so the excess is a log 2 and the closed form a 60 + b
+    (value,), _, _ = _psi_integral(5, np.array([-60.0]), 2.0, 4.0, 1e-12)
+    expected = 2.0 * (60.0 + math.log(2.0)) + 4.0
+    assert value == pytest.approx(expected, rel=0.0, abs=4.0 * math.ulp(expected))
+    # n = 1, psi0 = log 2, where sigma(psi) runs from 2/3 to 1: with t = e^y,
+    # int sigma(-psi) sigma(psi) coth y dpsi = int_1^inf (t^2 + 1) dt /
+    # (t^2 + t + 1)^2 = 4 pi / (9 sqrt 3) - 1/3, so (a, b) = (2, 4) gives
+    # 2 pi / (3 sqrt 3) + 4 (4 pi / (9 sqrt 3) - 1/3) = 22 pi / (9 sqrt 3) - 4/3
+    (value,), _, _ = _psi_integral(1, np.array([math.log(2.0)]), 2.0, 4.0, 1e-12)
+    expected = 22.0 * math.pi / (9.0 * math.sqrt(3.0)) - 4.0 / 3.0
+    assert value == pytest.approx(expected, rel=4e-16, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [10, 100, 1000, 10**4, 10**6])

@@ -105,9 +105,7 @@ def _cmd_cycle(args) -> int:
     if args.graph is not None and not positional:
         try:
             g = load_graph(args.graph)
-        except GraphInvariantError:
-            raise  # malformed content; main maps it
-        except (OSError, ValueError) as exc:  # missing, unreadable, a directory, a NUL byte
+        except (OSError, ValueError) as exc:  # unreadable, a NUL byte or malformed
             raise SystemExit2(str(exc)) from exc
     elif args.graph is None and args.type is not None and args.index is not None:
         g = build_dynkin(args.type, args.index)

@@ -23,13 +23,17 @@ is exact), so e^{2 s*} = eps^2 sigma(-psi).
 Each level is labelled by s0, its s on the diagonal d = 0.  There
 psi0 = (n-1) s0 + log 2, and the level and its slope are explicit:
 
-    L(s0) = 2 s0 + softplus(psi0),   dL/ds0 = 2 + (n-1) sigma(psi0),
+    L(s0) = 2 s0 + softplus(psi0),   dL/ds0 = 2 + (n-1) sigma(psi0).
 
-so the band integral runs over s0 with weight (dL/ds0) / L(s0)^2,
-between the roots s0 at the band's two ends, and the norm's level
-l = 2 log eps has one root.  The root (`_level_s0`) is the one
-level-equation solve: a scalar Newton once per band end (adjacent bands
-share one) and once per norm, never at a node of the kernel.
+The band integral runs in u = log(-s0) (ds0 = s0 du) with weight
+-s0 (dL/ds0) / L(s0)^2, between the logs of the roots s0 at the band's
+two ends, and the norm's level l = 2 log eps has one root.  The root
+(`_level_s0`) is the one level-equation solve: a scalar Newton once per
+band end (adjacent bands share one) and once per norm, never at a node
+of the kernel.  In u a band is about one unit wide and the pole of
+1/L^2 at L = 0 lies at u = -inf, so one K15 panel resolves the band:
+over n = 1..300, 300 log-spaced n up to 2^53 and k = 1..4, its
+|K15 - G7| stays below 3.2e-4 of every tolerance from 1e-8 to 0.1.
 
 The psi-form.  On a level l both s = (l - softplus psi)/2 and, with
 y = (n+1)d, log 2cosh y = psi + (n-1)(softplus psi - l)/2 are explicit in
@@ -69,19 +73,20 @@ e^{-2 delta}; the weight a + b sigma(psi) costs a pass only where b != 0,
 in the norm.  The closed-form part adds 50 eps_mach of itself to the
 error estimate, for the rounding of psi0 and e0.
 
-The kernel.  Both integrals run on one adaptive Gauss-Kronrod kernel
+The kernel.  The levels run on one adaptive Gauss-Kronrod kernel
 (G7/K15, QUADPACK, Piessens et al. 1983), vectorised over the nodes of
 all panels of a family of integrals.  A panel's error estimate is
 |K15 - G7|, floored at 50 eps_mach K15 (both integrands are >= 0, so
-K15 is the rule's sum h |f|) and increased by the errors of nested inner
-integrals weighted by the outer rule.  Each integral of a family keeps
-its own tolerance and one running panel count, its nested integrals'
-panels included, so it refines as it would alone: `annulus_bands`
-computes all bands I~_k of a table in one family (its inner integrals,
-one per level, are a second family), while `level_norm` is a family of
-one.  At rel_tol 1e-4 every level converges
-on the four v-points, so a table costs two kernel rounds (its bands,
-then all their levels at once) and a norm one.
+K15 is the rule's sum h |f|).  Each integral of a family keeps its own
+tolerance and one running panel count, so it refines as it would alone
+and never evaluates more than MAX_PANELS.  `level_norm` is a family of
+one level.  `annulus_bands` takes each band as its one K15/G7 panel in
+u: the levels at the 15 nodes of all bands are one family, each at a
+tenth of the band's tolerance, and a band's error estimate is its
+|K15 - G7|, floored alike, plus its levels' errors weighted by K15.  A
+band counts its panel and its levels' panels, at most 1 + 15 MAX_PANELS.
+At rel_tol 1e-4 every level converges on the four v-points, so a table
+and a norm each cost one kernel round.
 
 `quadrature` checks the arguments and then calls `annulus_bands` or
 `level_norm`, which return finished QuadratureResults: scaled, with their
@@ -131,8 +136,7 @@ _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 # K15 in column 0 and G7 on the Gauss rows of column 1: one matrix product
 # gives both rules without a strided copy, and (under OpenBLAS 0.3) rounds
 # a row alike for any number of rows above one, where a matrix-vector
-# product rounds it by the row count's remainder mod 4; the nested errors
-# take column 0 of the same product for that reason
+# product rounds it by the row count's remainder mod 4
 _WKG = np.zeros((15, 2))
 _WKG[:, 0] = _WK
 _WKG[1::2, 1] = _WG
@@ -143,58 +147,47 @@ _ROUNDOFF_FLOOR = 50.0 * _EPS
 _V_CUT = 6.0
 _V_POINTS = np.array([0.0, 1.0, 2.0, _V_CUT])
 _LOG_2 = math.log(2.0)
-# nested inner integrals get this share of the relative tolerance
+# the levels of a band get this share of its relative tolerance
 _INNER_SHARE = 0.1
-# panels one integral may evaluate, its nested integrals' included
+# panels one level or norm may evaluate
 MAX_PANELS = 400_000
 _NEWTON_STEPS = 60
 
 
 # -- the G7/K15 kernel ---------------------------------------------------------
 
-def _kronrod(f, lo, hi, rows, m):
-    """K15 values and error estimates of the panels [lo, hi] of integrals rows,
-    plus the panels nested integrals in f evaluated, per integral (0 when f
-    reports none).  f sees the nodes, one row of 15 per panel, and rows
-    itself, one entry per panel."""
+def _kronrod(f, lo, hi, rows):
+    """K15 values and error estimates of the panels [lo, hi] of integrals
+    rows.  f sees the nodes, one row of 15 per panel, and rows itself, one
+    entry per panel."""
     half = 0.5 * (hi - lo)
     x = 0.5 * (hi + lo)[:, None] + half[:, None] * _XK
-    fx, node_err, inner_panels = f(x, rows)
-    kronrod, gauss = half * (fx @ _WKG).T
-    err = np.maximum(np.abs(kronrod - gauss), _ROUNDOFF_FLOOR * kronrod)
-    if isinstance(node_err, np.ndarray):
-        err = err + half * (node_err @ _WKG)[:, 0]
-    if isinstance(inner_panels, np.ndarray):
-        inner_panels = np.bincount(rows, inner_panels.sum(axis=1), m)
-    return kronrod, err, inner_panels
+    kronrod, gauss = half * (f(x, rows) @ _WKG).T
+    return kronrod, np.maximum(np.abs(kronrod - gauss), _ROUNDOFF_FLOOR * kronrod)
 
 
 def _gauss_kronrod(f, points, rel_tol):
     """Adaptive G7/K15 for a family of integrals int f(x, j) dx, j = 0..m-1.
 
     points: array (m, p) of strictly increasing breakpoints per integral.
-    f(x, rows) returns (values, node errors, inner panels) for the node
-    array x, shape (P, 15), of P panels and their integrals rows, shape
-    (P,); node errors and inner panels are 0, or arrays shaped like x
-    holding the errors of nested integrals and the panels they evaluated
-    at each node.  The values must be >= 0: a panel's roundoff floor is
-    50 eps_mach of its K15 value, which stands for 50 eps_mach int |f|
-    only then.  Every panel of an integral whose error exceeds its
-    tolerance rel_tol |value| bisects while its own error exceeds that
-    tolerance's equal share per panel.  Each integral keeps one running
-    count of the panels it evaluated: its initial ones, two per split and
-    the inner panels of its nested integrals.  It stops when it meets its
-    tolerance, when its count reaches MAX_PANELS, or short of a round of
-    splits whose two panels each would carry its count past MAX_PANELS.
-    The inner panels of a round are known only once evaluated, so a
-    nested integral can still pass MAX_PANELS within its last round.
-    Returns arrays (values, errors, panels), one entry per integral.
+    f(x, rows) returns the values at the node array x, shape (P, 15), of P
+    panels and their integrals rows, shape (P,).  The values must be >= 0:
+    a panel's roundoff floor is 50 eps_mach of its K15 value, which stands
+    for 50 eps_mach int |f| only then.  Every panel of an integral whose
+    error exceeds its tolerance rel_tol |value| bisects while its own error
+    exceeds that tolerance's equal share per panel.  Each integral keeps
+    one running count of the panels it evaluated: its initial ones and two
+    per split.  It stops when it meets its tolerance, when its count
+    reaches MAX_PANELS, or short of a round of splits that would carry its
+    count past MAX_PANELS, so a count that starts within MAX_PANELS stays
+    within it.  Returns arrays (values, errors, panels), one entry per
+    integral.
     """
     m = points.shape[0]
     lo, hi = points[:, :-1].ravel(), points[:, 1:].ravel()
     rows = np.repeat(np.arange(m), points.shape[1] - 1)
-    val, err, inner = _kronrod(f, lo, hi, rows, m)
-    panels = np.bincount(rows, minlength=m) + inner
+    val, err = _kronrod(f, lo, hi, rows)
+    panels = np.bincount(rows, minlength=m)
     while True:
         value = np.bincount(rows, val, m)
         error = np.bincount(rows, err, m)
@@ -211,8 +204,8 @@ def _gauss_kronrod(f, points, rel_tol):
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
         new_rows = np.tile(rows[split], 2)
-        new_val, new_err, new_inner = _kronrod(f, new_lo, new_hi, new_rows, m)
-        panels = panels + np.bincount(new_rows, minlength=m) + new_inner
+        new_val, new_err = _kronrod(f, new_lo, new_hi, new_rows)
+        panels = panels + np.bincount(new_rows, minlength=m)
         keep = ~split
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
@@ -224,20 +217,20 @@ def _gauss_kronrod(f, points, rel_tol):
 # -- level-set coordinates -----------------------------------------------------
 
 def _level_s0(n: int, ell: float) -> float:
-    """s0, the value of s at d = 0 on the level L = ell: the root of
-    f(s) = 2s + softplus((n-1)s + log 2) - ell.
+    """s0, the value of s at d = 0 on the level L = ell < 0: the root of
+    f(s) = 2s + log1p(e) - ell, with e = e^psi = 2 e^{(n-1)s}.
 
-    f is convex and increasing with slope 2 + (n-1) sigma(psi) in [2, n+1],
-    and f(ell/2) = softplus >= 0, so Newton from ell/2 decreases
-    monotonically onto the root; for n = 1, f is linear.
+    f is convex and increasing with slope 2 + (n-1) e/(1 + e) in [2, n+1],
+    and f(ell/2) = log1p(e) > 0, so Newton from ell/2 decreases
+    monotonically onto the root; for n = 1, f is linear.  Every iterate
+    has s <= ell/2 < 0, so e <= 2.
     """
     s = 0.5 * ell
     # rounding noise of the residual f, over its least slope 2
     tol = 4.0 * _EPS * (abs(ell) + 1.0)
     for _ in range(_NEWTON_STEPS):
-        psi = (n - 1) * s + _LOG_2
-        sp = max(psi, 0.0) + math.log1p(math.exp(-abs(psi)))
-        step = (2.0 * s + sp - ell) / (2.0 + (n - 1) * math.exp(psi - sp))
+        e = math.exp((n - 1) * s + _LOG_2)
+        step = (2.0 * s + math.log1p(e) - ell) / (2.0 + (n - 1) * e / (1.0 + e))
         s -= step
         if abs(step) <= tol:
             return s
@@ -270,7 +263,7 @@ def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float):
         # coth y - 1 = 1/sqrt(q) - 1 with q = 1 - e^{-2 delta}, free of cancellation
         root_q = np.sqrt(-np.expm1(decay))
         weight = a + b * e_psi * sigma_neg if b else a
-        return 2.0 * weight * v * sigma_neg * np.exp(decay) / (root_q * (1.0 + root_q)), 0.0, 0
+        return 2.0 * weight * v * sigma_neg * np.exp(decay) / (root_q * (1.0 + root_q))
 
     points = _V_POINTS[None, :].repeat(len(psi0), axis=0)
     values, errors, panels = _gauss_kronrod(excess, points, rel_tol)
@@ -308,30 +301,30 @@ def _result(value, error, panels, scale, truncation, rel_tol) -> QuadratureResul
 def annulus_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...]:
     """I~_k = (2 pi)^2 / (2(n+1)) int over the band -2e^{k+1} < L < -2e^k
     of int_{psi0}^inf sigma(-psi) coth y dpsi (dL/ds0) ds0 / L^2 for each k
-    in ks, one family with a row per band, integrated in s0 between the
-    roots at the band's two ends."""
-
-    def level_density(s0, rows):
-        """int_{psi0}^inf sigma(-psi) coth y dpsi (dL/ds0) / L^2 at each s0."""
-        flat = s0.ravel()
-        psi0 = (n - 1) * flat + _LOG_2
-        inner, inner_err, panels = _psi_integral(n, psi0, 1.0, 0.0, _INNER_SHARE * rel_tol)
-        e0 = np.exp(psi0)
-        ell = 2.0 * flat + np.log1p(e0)
-        weight = (2.0 + (n - 1) * e0 / (1.0 + e0)) / (ell * ell)
-        return (
-            (inner * weight).reshape(s0.shape),
-            (inner_err * weight).reshape(s0.shape),
-            panels.reshape(s0.shape),
-        )
-
+    in ks: each band is one K15/G7 panel in u = log(-s0) between the roots
+    at its two ends, and the levels at the nodes of all bands are one
+    _psi_integral family."""
     # adjacent bands share an end: one root per distinct end
-    roots = {j: _level_s0(n, -2.0 * math.exp(j)) for j in {*ks, *(k + 1 for k in ks)}}
-    bands = np.array([[roots[k + 1], roots[k]] for k in ks])
-    values, errors, panels = _gauss_kronrod(level_density, bands, rel_tol)
+    ends = {j: math.log(-_level_s0(n, -2.0 * math.exp(j))) for j in {*ks, *(k + 1 for k in ks)}}
+    lo = np.array([ends[k] for k in ks])
+    half = 0.5 * (np.array([ends[k + 1] for k in ks]) - lo)
+    s0 = -np.exp((lo + half)[:, None] + half[:, None] * _XK).ravel()
+    psi0 = (n - 1) * s0 + _LOG_2
+    inner, inner_err, panels = _psi_integral(n, psi0, 1.0, 0.0, _INNER_SHARE * rel_tol)
+    e0 = np.exp(psi0)
+    ell = 2.0 * s0 + np.log1p(e0)
+    # ds0 = s0 du, and u falls from log(-s0) at L = -2e^{k+1} to lo as s0 rises
+    weight = -s0 * (2.0 + (n - 1) * e0 / (1.0 + e0)) / (ell * ell)
+    fx = (inner * weight).reshape(len(ks), 15)
+    # row by row: a product with @ rounds a lone row unlike a row of many
+    kronrod = half * np.einsum("ij,j->i", fx, _WK)
+    gauss = half * np.einsum("ij,j->i", fx[:, 1::2], _WG)
+    errors = np.maximum(np.abs(kronrod - gauss), _ROUNDOFF_FLOOR * kronrod)
+    errors += half * np.einsum("ij,j->i", (inner_err * weight).reshape(fx.shape), _WK)
+    counts = 1 + panels.reshape(fx.shape).sum(axis=1)
     scale = 4.0 * math.pi**2 / (2.0 * (n + 1))
     results = []
-    for k, value, error, count in zip(ks, values, errors, panels):
+    for k, value, error, count in zip(ks, kronrod, errors, counts):
         # the cut's bound at each level, times int_band dl / l^2
         tail = scale * _tail_bound(1.0, 0.0) * (1.0 - math.exp(-1.0)) / (2.0 * math.exp(k))
         results.append(_result(value, error, count, scale, tail, rel_tol))

@@ -8,8 +8,8 @@ and loads no numpy.  Each entry point checks its arguments, then imports
 and the G7/K15 kernel: the one numpy module of the package) and returns
 its finished result.  So the exact half, the CLI parser and every usage
 error never load numpy; the first integral of a process pays that
-import.  `integral_Ik_bands` computes its bands as one family whose rows
-each refine as their band alone; `integral_Ik` is the family of one.  A
+import.  `integral_Ik_bands` computes its bands as one family, each row
+as its band alone up to rounding; `integral_Ik` is the family of one.  A
 result that misses its tolerance within the kernel's panel budget is
 raised in a QuadratureBudgetError, which carries it.
 """

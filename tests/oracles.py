@@ -337,7 +337,7 @@ def adaptive_1d(f, a: float, b: float, rel_tol: float):
     roundoff floor assumes it) that maps an array of nodes to an array of
     values; returns (value, error_estimate)."""
     (value,), (error,), _ = levelset._gauss_kronrod(
-        lambda x, rows: (f(x), 0.0, 0), np.array([[a, b]], dtype=float), rel_tol
+        lambda x, rows: f(x), np.array([[a, b]], dtype=float), rel_tol
     )
     if not error <= rel_tol * abs(value):
         raise ArithmeticError(f"{levelset.MAX_PANELS} panels did not reach rel_tol {rel_tol}")

@@ -1,7 +1,10 @@
 """The psi-form is private to levelset: quadrature reaches it through the
 two entry points only, and no other module of src/duval_kind names it.
-Inside levelset, the psi-form keeps to e0 = e^psi0 (no softplus) and the
-kernel to (15, 2) rule products (no matrix-vector product with _WK)."""
+Inside levelset, the psi-form keeps to e0 = e^psi0 (no softplus), the
+kernel to (15, 2) rule products (no matrix-vector product with _WK) and
+to flat integrands (no isinstance), and a band is one panel whose levels
+are the only adaptive integrals (`annulus_bands` reaches the kernel
+through `_psi_integral` alone)."""
 
 import ast
 import os
@@ -83,3 +86,28 @@ def test_levelset_kernel_has_no_softplus_and_no_matrix_vector_rule():
         and node.right.id == "_WK"
     ]
     assert not matvec
+
+
+def test_levelset_integrands_are_flat():
+    assert "isinstance" not in identifiers(parsed_modules()["levelset"])
+
+
+def test_annulus_bands_reaches_the_kernel_only_through_psi_integral():
+    # the names each module-level function of levelset uses
+    calls = {
+        node.name: identifiers(node)
+        for node in parsed_modules()["levelset"].body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_psi_integral" in calls["annulus_bands"]
+    # every function annulus_bands reaches without passing _psi_integral
+    reached, todo = set(), ["annulus_bands"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo.extend(
+            callee
+            for callee in calls[name] & calls.keys()
+            if callee not in reached and callee != "_psi_integral"
+        )
+    assert not reached & {"_kronrod", "_gauss_kronrod"}

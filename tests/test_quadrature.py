@@ -248,8 +248,8 @@ def test_structure_form_l2_norm_small_radii():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda run: run(50, integral_Ik, 2, 1, 1e-8),
-        lambda run: run(50, integral_Ik_bands, 2, (1, 2), 1e-8),
+        lambda run: run(4, integral_Ik, 2, 1, 1e-8),
+        lambda run: run(4, integral_Ik_bands, 2, (1, 2), 1e-8),
         lambda run: run(2, structure_form_l2_norm, 3, 0.01, 1e-8),
     ],
 )
@@ -332,6 +332,16 @@ def test_Ik_large_n_matches_the_limit(n, tol):
         assert row.error_estimate <= tol * row.value
 
 
+def test_one_panel_per_band_meets_the_tolerance_floor():
+    # each band is one K15 panel in u = log(-s0), never refined: at the
+    # floor tolerance 1e-8 it must still meet its tolerance, from n = 1 to
+    # 2^53
+    ns = list(range(1, 21)) + sorted({int(n) for n in np.geomspace(21, 2**53, 20)})
+    for n in ns:
+        for row in integral_Ik_bands(n, (1, 2, 3, 4), 1e-8):
+            assert row.error_estimate <= 1e-8 * row.value, n
+
+
 NORM_RADII = (
     1e-3, 0.01, 0.02618803324854386, 0.05, 0.1, 0.14625625729010416, 0.2,
     0.44296749804716234, 0.5,
@@ -368,12 +378,12 @@ def test_structure_form_l2_norm_radius_sweep(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 10**6])
 def test_levels_converge_in_one_kronrod_round(monkeypatch, n):
     # on the breakpoints 0, 1, 2, 6 no v-panel of a level splits at 1e-4:
-    # a table is one round of bands and one of all their levels
+    # a table is one round of the levels at the nodes of all its bands
     calls = []
     kronrod = levelset._kronrod
     monkeypatch.setattr(levelset, "_kronrod", lambda *args: calls.append(1) or kronrod(*args))
     integral_Ik_bands(n, (1, 2, 3, 4), 1e-4)
-    assert len(calls) == 2
+    assert len(calls) == 1
     for eps in (1e-3, 0.14625625729010416, 0.5):
         calls.clear()
         structure_form_l2_norm(n, eps, 1e-4)
@@ -384,7 +394,7 @@ def test_levels_converge_in_one_kronrod_round(monkeypatch, n):
 def test_level_equation_is_solved_outside_kernel_rounds(monkeypatch, n):
     # the root s0 is solved at the ends of the bands and at the one level
     # of a norm, never at a node: a table makes as many calls at 1e-8,
-    # where outer panels split, as at 1e-4
+    # where levels split, as at 1e-4
     calls = []
     solve = levelset._level_s0
     monkeypatch.setattr(levelset, "_level_s0", lambda *args: calls.append(1) or solve(*args))
@@ -419,33 +429,37 @@ def test_panel_budget_bounds_a_flat_family(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 1000])
 @pytest.mark.parametrize("tol", [1e-4, 1e-8])
 def test_reported_panels_are_the_panels_evaluated(monkeypatch, n, tol):
-    # every panel _kronrod evaluates, outer or inner, is counted once in
-    # the subregions_used of the integral it belongs to
+    # every panel _kronrod evaluates is counted once in the subregions_used
+    # of the integral it belongs to, and each band adds its own one panel
     evaluated = []
     kronrod = levelset._kronrod
 
-    def counting(f, lo, hi, rows, m):
+    def counting(f, lo, hi, rows):
         evaluated.append(len(lo))
-        return kronrod(f, lo, hi, rows, m)
+        return kronrod(f, lo, hi, rows)
 
     monkeypatch.setattr(levelset, "_kronrod", counting)
     table = integral_Ik_bands(n, (1, 2, 3, 4), tol)
-    assert sum(row.subregions_used for row in table) == sum(evaluated)
+    assert sum(row.subregions_used for row in table) == sum(evaluated) + len(table)
     evaluated.clear()
     assert structure_form_l2_norm(n, 1e-3, tol).subregions_used == sum(evaluated)
 
 
-def test_nested_family_passes_the_budget_within_its_last_round(monkeypatch):
-    # a round's inner panels are counted once evaluated, so a band that
-    # starts the round below MAX_PANELS can end it far above
-    monkeypatch.setattr(levelset, "MAX_PANELS", 200)
-    assert integral_Ik(2, 1, 1e-8).subregions_used == 330
-
-
-def test_nested_family_skips_a_round_whose_splits_pass_the_budget(monkeypatch):
-    # at 112 panels the next round splits one outer panel: its two new
-    # panels alone would make 114 > 113, so the round does not run
-    monkeypatch.setattr(levelset, "MAX_PANELS", 113)
-    with pytest.raises(QuadratureBudgetError) as info:
-        integral_Ik(2, 1, 1e-8)
-    assert info.value.partial.subregions_used == 112
+def test_band_stays_within_its_levels_budgets(monkeypatch):
+    # MAX_PANELS bounds each of a band's 15 levels, so the band, one panel
+    # of its own, stays within 1 + 15 MAX_PANELS; n = 2, k = 1 needs a level
+    # split at 1e-8, which a budget of 3 or 4 stops short
+    outcomes = {}
+    for budget in range(3, 13):
+        monkeypatch.setattr(levelset, "MAX_PANELS", budget)
+        try:
+            result = integral_Ik(2, 1, 1e-8)
+            outcomes[budget] = "met"
+        except QuadratureBudgetError as exc:
+            result = exc.partial
+            outcomes[budget] = "partial"
+        assert result.subregions_used <= 1 + 15 * budget, budget
+        if budget == 5:
+            assert result.subregions_used == 70
+    assert outcomes[3] == outcomes[4] == "partial"
+    assert all(outcomes[budget] == "met" for budget in range(5, 13))

@@ -445,6 +445,46 @@ def test_reported_panels_are_the_panels_evaluated(monkeypatch, n, tol):
     assert structure_form_l2_norm(n, 1e-3, tol).subregions_used == sum(evaluated)
 
 
+def test_nested_family_passes_the_budget_within_its_last_round(monkeypatch):
+    # a band is a nested family, one panel over its 15 levels: MAX_PANELS
+    # bounds each level, so the band's own count may pass it while every
+    # level's last round stays within it
+    level_panels = []
+    gauss_kronrod = levelset._gauss_kronrod
+
+    def recording(f, points, rel_tol):
+        value, error, panels = gauss_kronrod(f, points, rel_tol)
+        level_panels.append(panels)
+        return value, error, panels
+
+    monkeypatch.setattr(levelset, "MAX_PANELS", 5)
+    monkeypatch.setattr(levelset, "_gauss_kronrod", recording)
+    result = integral_Ik(2, 1, 1e-8)
+    assert result.error_estimate <= 1e-8 * result.value
+    assert result.subregions_used == 70 > levelset.MAX_PANELS
+    (panels,) = level_panels
+    assert len(panels) == 15 and panels.max() <= 5
+    assert result.subregions_used == 1 + panels.sum()
+
+
+def test_nested_family_skips_a_round_whose_splits_pass_the_budget(monkeypatch):
+    # each level starts with 3 panels and n = 2, k = 1 needs a split at
+    # 1e-8; under a budget of 4 a split would make 5 panels, so no round
+    # of splits runs and the band raises with its 1 + 15 * 3 initial panels
+    calls = []
+    kronrod = levelset._kronrod
+    monkeypatch.setattr(levelset, "_kronrod", lambda *args: calls.append(1) or kronrod(*args))
+    monkeypatch.setattr(levelset, "MAX_PANELS", 4)
+    with pytest.raises(QuadratureBudgetError) as info:
+        integral_Ik(2, 1, 1e-8)
+    assert info.value.partial.subregions_used == 46
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(levelset, "MAX_PANELS", 5)
+    integral_Ik(2, 1, 1e-8)
+    assert len(calls) > 1
+
+
 def test_band_stays_within_its_levels_budgets(monkeypatch):
     # MAX_PANELS bounds each of a band's 15 levels, so the band, one panel
     # of its own, stays within 1 + 15 MAX_PANELS; n = 2, k = 1 needs a level

@@ -1,7 +1,7 @@
 """Command-line surface: classify, fundamental-cycle, integral-table, residue.
 
-Exit codes: 0 success, 2 bad arguments / malformed input, 3 numeric
-budget exceeded, 4 graph not negative definite.  Payload goes to stdout,
+Exit codes: 0 success, 2 bad arguments / malformed input, 3 an integral
+missed its tolerance, 4 graph not negative definite.  Payload goes to stdout,
 diagnostics to stderr.  Repeated runs are byte-identical.
 """
 

@@ -1,5 +1,5 @@
-"""The A_n integrals in the psi-form, on an adaptive G7/K15 kernel: the
-one module of the package that uses numpy.
+"""The A_n integrals in the psi-form, on a G7/K15 kernel: the one module
+of the package that uses numpy.
 
 Phases contribute an exact (2 pi)^2, and the moduli are parametrized by
 u_i = log rho_i, where the squared ambient norm has logarithm
@@ -50,14 +50,15 @@ where C and C' integrate the excess coth y - 1 over psi > psi0 against
 sigma(-psi) and sigma(-psi)(2 + (n-1) sigma(psi)).  The d-form's corner
 at d* = (n-1)|l| / (2(n+1)), where the integrands turn within about
 40/(n+1), lies inside the closed-form softplus; only the excess is left
-to the adaptive rule.  With cosh y = e^delta,
+to the kernel.  With cosh y = e^delta,
 
     delta = v^2 + (n-1)/2 log1p(sigma(psi0) expm1(v^2)),  psi = psi0 + v^2,
 
 the excess is 1/sqrt(1 - e^{-2 delta}) - 1.  It has an inverse square
 root at psi = psi0, which the substitution v = sqrt(psi - psi0)
 (dpsi = 2v dv) removes: the v-integrand is smooth and bounded, and is
-integrated on the breakpoints 0, 1, 2 and V = _V_CUT = 6.  `_tail_bound`
+integrated on the breakpoints 0, 1, 2 and V = _V_CUT = 6, or with each
+of those three panels cut in four at tolerances below 1e-6.  `_tail_bound`
 bounds what the cut drops at each level; a truncation bound is that
 times the scale, (2 pi)^2 / (2(n+1)) times int_band dl / l^2 =
 (1 - e^{-1}) / (2e^k) for I~_k, and pi^2 eps^2 for ||omega||^2.
@@ -73,25 +74,25 @@ e^{-2 delta}; the weight a + b sigma(psi) costs a pass only where b != 0,
 in the norm.  The closed-form part adds 50 eps_mach of itself to the
 error estimate, for the rounding of psi0 and e0.
 
-The kernel.  The levels run on one adaptive Gauss-Kronrod kernel
-(G7/K15, QUADPACK, Piessens et al. 1983), vectorised over the nodes of
-all panels of a family of integrals.  A panel's error estimate is
+The kernel.  The levels run on one Gauss-Kronrod panel rule (G7/K15,
+QUADPACK, Piessens et al. 1983), vectorised over the nodes of all panels
+of a family of integrals, in one round.  A panel's error estimate is
 |K15 - G7|, floored at 50 eps_mach K15 (both integrands are >= 0, so
-K15 is the rule's sum h |f|).  Each integral of a family keeps its own
-tolerance and one running panel count, so it refines as it would alone
-and never evaluates more than MAX_PANELS.  `level_norm` is a family of
-one level.  `annulus_bands` takes each band as its one K15/G7 panel in
-u: the levels at the 15 nodes of all bands are one family, each at a
-tenth of the band's tolerance, and a band's error estimate is its
-|K15 - G7|, floored alike, plus its levels' errors weighted by K15.  A
-band counts its panel and its levels' panels, at most 1 + 15 MAX_PANELS.
-At rel_tol 1e-4 every level converges on the four v-points, so a table
-and a norm each cost one kernel round.
+K15 is the rule's sum h |f|).  No panel is refined: the excess falls
+geometrically as its panels are cut, and the level's tolerance picks
+them, three panels from 1e-6 up and twelve below (`_COARSE_TOL`, whose
+comment quotes the margins that tests/level_sweep.py measures over every
+level the program evaluates).  `level_norm` is a family of one level.
+`annulus_bands` takes each band as its one K15/G7 panel in u: the levels
+at the 15 nodes of all bands are one family, each at a tenth of the
+band's tolerance, and a band's error estimate is its |K15 - G7|, floored
+alike, plus its levels' errors weighted by K15.  A band counts its panel
+and its levels' panels, 1 + 15 * 3 or 1 + 15 * 12.
 
 `quadrature` checks the arguments and then calls `annulus_bands` or
 `level_norm`, which return finished QuadratureResults: scaled, with their
-truncation bounds, or raised in a QuadratureBudgetError when the budget
-MAX_PANELS stops them short of the tolerance.
+truncation bounds, or raised in a QuadratureBudgetError if an error
+estimate misses its tolerance, which no level the program evaluates does.
 """
 
 from __future__ import annotations
@@ -146,11 +147,21 @@ _ROUNDOFF_FLOOR = 50.0 * _EPS
 # the v-axis is cut at _V_CUT; _tail_bound bounds what the cut drops
 _V_CUT = 6.0
 _V_POINTS = np.array([0.0, 1.0, 2.0, _V_CUT])
+# each panel of _V_POINTS cut into four equal ones
+_V_POINTS_FINE = np.interp(np.arange(13) / 4.0, np.arange(4.0), _V_POINTS)
+# a level takes _V_POINTS at tolerances from _COARSE_TOL up and
+# _V_POINTS_FINE below.  Over every level the program evaluates
+# (tests/level_sweep.py: the band nodes of k = 1..4 and 4000 norm levels
+# for eps in [1e-100, 1/2], for n = 1..39 and 40 log-spaced n up to 2^53)
+# the worst relative error estimate is 1.74e-7 on _V_POINTS, 5.7 times
+# within 1e-6.  On _V_POINTS_FINE it is 1.74e-11 over band levels, 57
+# times within their least tolerance 1e-9 (a tenth of the floor 1e-8),
+# and 9.56e-11 over norm levels, 105 times within 1e-8.  Panels cut in two
+# instead give 3.84e-9 over band levels, which misses 1e-9.
+_COARSE_TOL = 1e-6
 _LOG_2 = math.log(2.0)
 # the levels of a band get this share of its relative tolerance
 _INNER_SHARE = 0.1
-# panels one level or norm may evaluate
-MAX_PANELS = 400_000
 _NEWTON_STEPS = 60
 
 
@@ -164,54 +175,6 @@ def _kronrod(f, lo, hi, rows):
     x = 0.5 * (hi + lo)[:, None] + half[:, None] * _XK
     kronrod, gauss = half * (f(x, rows) @ _WKG).T
     return kronrod, np.maximum(np.abs(kronrod - gauss), _ROUNDOFF_FLOOR * kronrod)
-
-
-def _gauss_kronrod(f, points, rel_tol):
-    """Adaptive G7/K15 for a family of integrals int f(x, j) dx, j = 0..m-1.
-
-    points: array (m, p) of strictly increasing breakpoints per integral.
-    f(x, rows) returns the values at the node array x, shape (P, 15), of P
-    panels and their integrals rows, shape (P,).  The values must be >= 0:
-    a panel's roundoff floor is 50 eps_mach of its K15 value, which stands
-    for 50 eps_mach int |f| only then.  Every panel of an integral whose
-    error exceeds its tolerance rel_tol |value| bisects while its own error
-    exceeds that tolerance's equal share per panel.  Each integral keeps
-    one running count of the panels it evaluated: its initial ones and two
-    per split.  It stops when it meets its tolerance, when its count
-    reaches MAX_PANELS, or short of a round of splits that would carry its
-    count past MAX_PANELS, so a count that starts within MAX_PANELS stays
-    within it.  Returns arrays (values, errors, panels), one entry per
-    integral.
-    """
-    m = points.shape[0]
-    lo, hi = points[:, :-1].ravel(), points[:, 1:].ravel()
-    rows = np.repeat(np.arange(m), points.shape[1] - 1)
-    val, err = _kronrod(f, lo, hi, rows)
-    panels = np.bincount(rows, minlength=m)
-    while True:
-        value = np.bincount(rows, val, m)
-        error = np.bincount(rows, err, m)
-        tol = rel_tol * np.abs(value)
-        unmet = (error > tol) & (panels < MAX_PANELS)
-        if not unmet.any():
-            return value, error, panels
-        share = tol / np.bincount(rows, minlength=m)
-        split = unmet[rows] & (err > share[rows])
-        split &= (panels + 2 * np.bincount(rows[split], minlength=m) <= MAX_PANELS)[rows]
-        if not split.any():
-            return value, error, panels
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_rows = np.tile(rows[split], 2)
-        new_val, new_err = _kronrod(f, new_lo, new_hi, new_rows)
-        panels = panels + np.bincount(new_rows, minlength=m)
-        keep = ~split
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        rows = np.concatenate([rows[keep], new_rows])
-        val = np.concatenate([val[keep], new_val])
-        err = np.concatenate([err[keep], new_err])
 
 
 # -- level-set coordinates -----------------------------------------------------
@@ -239,16 +202,17 @@ def _level_s0(n: int, ell: float) -> float:
 
 def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float):
     """int_{psi0}^inf sigma(-psi) (a + b sigma(psi)) coth y dpsi for each
-    entry of psi0 <= log 2, as one family: arrays (values, errors, panels).
+    entry of psi0 <= log 2, as one family in one kernel round: arrays
+    (values, errors) and the panels of each level.
 
     With e0 = e^psi0, the coth y = 1 part is a (log1p(e0) - psi0) +
     b / (1 + e0) in closed form; the excess coth y - 1 is integrated in
-    v = sqrt(psi - psi0) on the breakpoints 0, 1, 2, _V_CUT, where
-    cosh y = e^delta with delta = v^2 + (n-1)/2 log1p(p expm1(v^2)),
-    p = e0 / (1 + e0), and sigma(-psi) = 1 / (1 + e0 e^{v^2}), whose
-    e0 e^{v^2} <= 2 e^36 cannot overflow.  The excess falls as
-    e^{-2 delta} <= e^{-2v^2}: with 2 a breakpoint, every panel resolves it
-    at rel_tol 1e-4 without a split, for n up to 2^53.
+    v = sqrt(psi - psi0) on the breakpoints _V_POINTS, or _V_POINTS_FINE
+    if rel_tol is below _COARSE_TOL, where cosh y = e^delta with
+    delta = v^2 + (n-1)/2 log1p(p expm1(v^2)), p = e0 / (1 + e0), and
+    sigma(-psi) = 1 / (1 + e0 e^{v^2}), whose e0 e^{v^2} <= 2 e^36 cannot
+    overflow.  The excess falls as e^{-2 delta} <= e^{-2v^2}, so with 2 a
+    breakpoint no level needs more panels than these, for n up to 2^53.
     """
     e0 = np.exp(psi0)
     p = e0 / (1.0 + e0)
@@ -265,10 +229,14 @@ def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float):
         weight = a + b * e_psi * sigma_neg if b else a
         return 2.0 * weight * v * sigma_neg * np.exp(decay) / (root_q * (1.0 + root_q))
 
-    points = _V_POINTS[None, :].repeat(len(psi0), axis=0)
-    values, errors, panels = _gauss_kronrod(excess, points, rel_tol)
+    points = _V_POINTS if rel_tol >= _COARSE_TOL else _V_POINTS_FINE
+    m, panels = len(psi0), len(points) - 1
+    grid = points[None, :].repeat(m, axis=0)
+    rows = np.repeat(np.arange(m), panels)
+    val, err = _kronrod(excess, grid[:, :-1].ravel(), grid[:, 1:].ravel(), rows)
+    value, error = np.bincount(rows, val, m), np.bincount(rows, err, m)
     main = a * (np.log1p(e0) - psi0) + b / (1.0 + e0)
-    return main + values, errors + _ROUNDOFF_FLOOR * main, panels
+    return main + value, error + _ROUNDOFF_FLOOR * main, panels
 
 
 def _tail_bound(a: float, b: float) -> float:
@@ -283,14 +251,15 @@ def _tail_bound(a: float, b: float) -> float:
 
 def _result(value, error, panels, scale, truncation, rel_tol) -> QuadratureResult:
     """The kernel's result times scale, or QuadratureBudgetError carrying it
-    if the kernel stopped short of the tolerance."""
+    if its error estimate misses the tolerance (no level the program
+    evaluates does, by the margins at _COARSE_TOL)."""
     result = QuadratureResult(
-        max(scale * float(value), 0.0), scale * float(error), int(panels), truncation
+        max(scale * float(value), 0.0), scale * float(error), panels, truncation
     )
     if not error <= rel_tol * abs(value):
         raise QuadratureBudgetError(
-            f"subregion budget {MAX_PANELS} exhausted "
-            f"(value {result.value:.6e}, rel err {error / max(abs(value), 1e-300):.2e})",
+            f"rel err {error / max(abs(value), 1e-300):.2e} misses rel_tol {rel_tol:g} "
+            f"on {panels} panels (value {result.value:.6e})",
             result,
         )
     return result
@@ -321,13 +290,13 @@ def annulus_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...]:
     gauss = half * np.einsum("ij,j->i", fx[:, 1::2], _WG)
     errors = np.maximum(np.abs(kronrod - gauss), _ROUNDOFF_FLOOR * kronrod)
     errors += half * np.einsum("ij,j->i", (inner_err * weight).reshape(fx.shape), _WK)
-    counts = 1 + panels.reshape(fx.shape).sum(axis=1)
     scale = 4.0 * math.pi**2 / (2.0 * (n + 1))
     results = []
-    for k, value, error, count in zip(ks, kronrod, errors, counts):
+    for k, value, error in zip(ks, kronrod, errors):
         # the cut's bound at each level, times int_band dl / l^2
         tail = scale * _tail_bound(1.0, 0.0) * (1.0 - math.exp(-1.0)) / (2.0 * math.exp(k))
-        results.append(_result(value, error, count, scale, tail, rel_tol))
+        # the band's own panel and its 15 levels' panels
+        results.append(_result(value, error, 1 + 15 * panels, scale, tail, rel_tol))
     return tuple(results)
 
 
@@ -335,6 +304,6 @@ def level_norm(n: int, eps: float, rel_tol: float) -> QuadratureResult:
     """||omega||^2 = pi^2 eps^2 int_{psi0}^inf sigma(-psi) (2 + (n-1) sigma(psi))
     coth y dpsi on the level L = 2 log eps."""
     psi0 = (n - 1) * _level_s0(n, 2.0 * math.log(eps)) + _LOG_2
-    (value,), (error,), (panels,) = _psi_integral(n, np.array([psi0]), 2.0, n - 1.0, rel_tol)
+    (value,), (error,), panels = _psi_integral(n, np.array([psi0]), 2.0, n - 1.0, rel_tol)
     scale = math.pi**2 * eps**2
     return _result(value, error, panels, scale, scale * _tail_bound(2.0, n - 1.0), rel_tol)

@@ -10,8 +10,9 @@ its finished result.  So the exact half, the CLI parser and every usage
 error never load numpy; the first integral of a process pays that
 import.  `integral_Ik_bands` computes its bands as one family, each row
 as its band alone up to rounding; `integral_Ik` is the family of one.  A
-result that misses its tolerance within the kernel's panel budget is
-raised in a QuadratureBudgetError, which carries it.
+result whose error estimate misses its tolerance is raised in a
+QuadratureBudgetError, which carries it; the kernel's panels are chosen
+so that none does.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class QuadratureRangeError(ValueError):
 
 
 class QuadratureBudgetError(RuntimeError):
-    """Tolerance not reached within the subregion budget."""
+    """Tolerance not reached on the kernel's panels."""
 
     def __init__(self, message: str, partial: "QuadratureResult"):
         super().__init__(message)

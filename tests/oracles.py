@@ -13,9 +13,9 @@ squared ambient norm of the A_n covering image directly or by
 log-sum-exp.  `level_psi` solves the level equation by Newton at a
 point y = (n+1)d measured from the corner y*, `level_s` reads s from it
 at a point d, and `structure_form_reference` integrates ||omega||^2 with
-it on a fixed Gauss-Legendre composite in y - y*.  `adaptive_1d` runs the
-product's G7/K15 kernel on a plain 1-D integrand, for drills against
-closed forms.  `dominating_integral`
+it on a fixed Gauss-Legendre composite in y - y*.  `adaptive_1d` bisects
+panels of the product's G7/K15 rule on a plain 1-D integrand, for drills
+against closed forms.  `dominating_integral`
 sums the annulus integrals I~_1..I~_k_max of one band family, and
 `pullback_residue_density` is the constant density (n+1)^2 of the
 pulled-back structure form.
@@ -332,16 +332,25 @@ def _monte_carlo(f, n, lo, hi, scale, samples, seed):
 
 # -- 1-D drill integrator ---------------------------------------------------------
 
+_DRILL_ROUNDS = 40
+
+
 def adaptive_1d(f, a: float, b: float, rel_tol: float):
     """Adaptive G7/K15 on [a, b] for a smooth integrand f >= 0 (the kernel's
     roundoff floor assumes it) that maps an array of nodes to an array of
-    values; returns (value, error_estimate)."""
-    (value,), (error,), _ = levelset._gauss_kronrod(
-        lambda x, rows: f(x), np.array([[a, b]], dtype=float), rel_tol
-    )
-    if not error <= rel_tol * abs(value):
-        raise ArithmeticError(f"{levelset.MAX_PANELS} panels did not reach rel_tol {rel_tol}")
-    return float(value), float(error)
+    values; returns (value, error_estimate).  Each round runs the product's
+    panel rule `levelset._kronrod` on every panel and bisects those whose
+    error exceeds an equal share of the tolerance."""
+    edges = np.array([a, b], dtype=float)
+    for _ in range(_DRILL_ROUNDS):
+        lo, hi = edges[:-1], edges[1:]
+        val, err = levelset._kronrod(lambda x, rows: f(x), lo, hi, np.zeros(len(lo), dtype=int))
+        value, error = float(val.sum()), float(err.sum())
+        if error <= rel_tol * abs(value):
+            return value, error
+        split = err > rel_tol * abs(value) / len(lo)
+        edges = np.sort(np.concatenate([edges, 0.5 * (lo + hi)[split]]))
+    raise ArithmeticError(f"{_DRILL_ROUNDS} rounds of bisection did not reach rel_tol {rel_tol}")
 
 
 # -- the d-form level solver and a fixed-panel reference for ||omega||^2 ------------

@@ -110,4 +110,4 @@ def test_annulus_bands_reaches_the_kernel_only_through_psi_integral():
             for callee in calls[name] & calls.keys()
             if callee not in reached and callee != "_psi_integral"
         )
-    assert not reached & {"_kronrod", "_gauss_kronrod"}
+    assert "_kronrod" not in reached

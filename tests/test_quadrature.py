@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,10 +68,10 @@ def test_range_errors():
     ids=["ks0", "ks1", "ks0-tol1e-8", "ks1-tol1e-8"],
 )
 def test_band_family_matches_lone_integrals(n, ks, tol):
-    # each row of the family refines as its band alone: the same panels and
+    # each row of the family is its band alone: the same panels and
     # truncation bound, and values equal up to rounding (BLAS products over
     # a different number of panels round a row differently);
-    # at 1e-4 no panel splits, at 1e-8 the rows use 106-330 panels
+    # the rows use 46 panels at 1e-4 and 181 at 1e-8
     family = integral_Ik_bands(n, ks, tol)
     assert len(family) == len(ks)
     for k, row in zip(ks, family):
@@ -248,20 +249,22 @@ def test_structure_form_l2_norm_small_radii():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda run: run(4, integral_Ik, 2, 1, 1e-8),
-        lambda run: run(4, integral_Ik_bands, 2, (1, 2), 1e-8),
-        lambda run: run(2, structure_form_l2_norm, 3, 0.01, 1e-8),
+        lambda: integral_Ik(2, 1, 1e-8),
+        lambda: integral_Ik_bands(2, (1, 2), 1e-8),
+        lambda: structure_form_l2_norm(3, 0.01, 1e-8),
     ],
 )
 def test_budget_exhaustion_carries_finite_partial(monkeypatch, call):
-    def run(budget, integral, *args):
-        monkeypatch.setattr(levelset, "MAX_PANELS", budget)
-        return integral(*args)
-
+    # on the coarse v-panels these levels miss 1e-8, so the result is
+    # raised with its partial, and the message names that partial's panels
+    monkeypatch.setattr(levelset, "_COARSE_TOL", 0.0)
     with pytest.raises(QuadratureBudgetError) as info:
-        call(run)
-    assert str(info.value).startswith(f"subregion budget {levelset.MAX_PANELS} exhausted")
+        call()
     partial = info.value.partial
+    message = re.fullmatch(
+        r"rel err \S+ misses rel_tol 1e-08 on (\d+) panels \(value \S+\)", str(info.value)
+    )
+    assert message and int(message[1]) == partial.subregions_used
     assert 0 < partial.value < math.inf
     assert math.isfinite(partial.error_estimate)
     assert partial.error_estimate > 1e-8 * partial.value
@@ -377,24 +380,39 @@ def test_structure_form_l2_norm_radius_sweep(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10**6])
 def test_levels_converge_in_one_kronrod_round(monkeypatch, n):
-    # on the breakpoints 0, 1, 2, 6 no v-panel of a level splits at 1e-4:
-    # a table is one round of the levels at the nodes of all its bands
+    # no v-panel of a level splits, at any tolerance: a table is one round
+    # of the levels at the nodes of all its bands
     calls = []
     kronrod = levelset._kronrod
     monkeypatch.setattr(levelset, "_kronrod", lambda *args: calls.append(1) or kronrod(*args))
-    integral_Ik_bands(n, (1, 2, 3, 4), 1e-4)
-    assert len(calls) == 1
-    for eps in (1e-3, 0.14625625729010416, 0.5):
+    for tol in (1e-4, 1e-6, 1e-8):
         calls.clear()
-        structure_form_l2_norm(n, eps, 1e-4)
-        assert len(calls) == 1, eps
+        integral_Ik_bands(n, (1, 2, 3, 4), tol)
+        assert len(calls) == 1, tol
+        for eps in (1e-3, 0.14625625729010416, 0.5):
+            calls.clear()
+            structure_form_l2_norm(n, eps, tol)
+            assert len(calls) == 1, (tol, eps)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-5, 9.9e-6, 1e-6, 9.9e-7, 1e-8])
+def test_every_table_and_norm_meets_its_tolerance(tol):
+    # across the switch to the fine v-panels (a band's levels take a tenth
+    # of its tolerance, so tables switch below 1e-5 and norms below 1e-6)
+    # and down to the floor, with nothing raised
+    for n in (1, 2, 3, 10, 1000, 2**53):
+        for row in integral_Ik_bands(n, (1, 2, 3, 4), tol):
+            assert row.error_estimate <= tol * row.value, n
+        for eps in (1e-100, 1e-12, 1e-3, 0.030965557587097632, 0.14625625729010416, 0.5):
+            got = structure_form_l2_norm(n, eps, tol)
+            assert got.error_estimate <= tol * got.value, (n, eps)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_level_equation_is_solved_outside_kernel_rounds(monkeypatch, n):
     # the root s0 is solved at the ends of the bands and at the one level
     # of a norm, never at a node: a table makes as many calls at 1e-8,
-    # where levels split, as at 1e-4
+    # where levels take the fine v-panels, as at 1e-4
     calls = []
     solve = levelset._level_s0
     monkeypatch.setattr(levelset, "_level_s0", lambda *args: calls.append(1) or solve(*args))
@@ -408,22 +426,6 @@ def test_level_equation_is_solved_outside_kernel_rounds(monkeypatch, n):
         calls.clear()
         structure_form_l2_norm(n, 1e-3, tol)
         assert len(calls) == 1
-
-
-def test_panel_budget_bounds_a_flat_family(monkeypatch):
-    # a level needs 5 panels at 1e-8: from 3 initial ones, one split
-    # costs 2 panels, so a budget of 3 or 4 stops it short
-    outcomes = set()
-    for budget in range(3, 13):
-        monkeypatch.setattr(levelset, "MAX_PANELS", budget)
-        try:
-            result = structure_form_l2_norm(2, 1e-3, 1e-8)
-            outcomes.add("met")
-        except QuadratureBudgetError as exc:
-            result = exc.partial
-            outcomes.add("partial")
-        assert result.subregions_used <= budget, budget
-    assert outcomes == {"met", "partial"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1000])
@@ -443,63 +445,3 @@ def test_reported_panels_are_the_panels_evaluated(monkeypatch, n, tol):
     assert sum(row.subregions_used for row in table) == sum(evaluated) + len(table)
     evaluated.clear()
     assert structure_form_l2_norm(n, 1e-3, tol).subregions_used == sum(evaluated)
-
-
-def test_nested_family_passes_the_budget_within_its_last_round(monkeypatch):
-    # a band is a nested family, one panel over its 15 levels: MAX_PANELS
-    # bounds each level, so the band's own count may pass it while every
-    # level's last round stays within it
-    level_panels = []
-    gauss_kronrod = levelset._gauss_kronrod
-
-    def recording(f, points, rel_tol):
-        value, error, panels = gauss_kronrod(f, points, rel_tol)
-        level_panels.append(panels)
-        return value, error, panels
-
-    monkeypatch.setattr(levelset, "MAX_PANELS", 5)
-    monkeypatch.setattr(levelset, "_gauss_kronrod", recording)
-    result = integral_Ik(2, 1, 1e-8)
-    assert result.error_estimate <= 1e-8 * result.value
-    assert result.subregions_used == 70 > levelset.MAX_PANELS
-    (panels,) = level_panels
-    assert len(panels) == 15 and panels.max() <= 5
-    assert result.subregions_used == 1 + panels.sum()
-
-
-def test_nested_family_skips_a_round_whose_splits_pass_the_budget(monkeypatch):
-    # each level starts with 3 panels and n = 2, k = 1 needs a split at
-    # 1e-8; under a budget of 4 a split would make 5 panels, so no round
-    # of splits runs and the band raises with its 1 + 15 * 3 initial panels
-    calls = []
-    kronrod = levelset._kronrod
-    monkeypatch.setattr(levelset, "_kronrod", lambda *args: calls.append(1) or kronrod(*args))
-    monkeypatch.setattr(levelset, "MAX_PANELS", 4)
-    with pytest.raises(QuadratureBudgetError) as info:
-        integral_Ik(2, 1, 1e-8)
-    assert info.value.partial.subregions_used == 46
-    assert len(calls) == 1
-    calls.clear()
-    monkeypatch.setattr(levelset, "MAX_PANELS", 5)
-    integral_Ik(2, 1, 1e-8)
-    assert len(calls) > 1
-
-
-def test_band_stays_within_its_levels_budgets(monkeypatch):
-    # MAX_PANELS bounds each of a band's 15 levels, so the band, one panel
-    # of its own, stays within 1 + 15 MAX_PANELS; n = 2, k = 1 needs a level
-    # split at 1e-8, which a budget of 3 or 4 stops short
-    outcomes = {}
-    for budget in range(3, 13):
-        monkeypatch.setattr(levelset, "MAX_PANELS", budget)
-        try:
-            result = integral_Ik(2, 1, 1e-8)
-            outcomes[budget] = "met"
-        except QuadratureBudgetError as exc:
-            result = exc.partial
-            outcomes[budget] = "partial"
-        assert result.subregions_used <= 1 + 15 * budget, budget
-        if budget == 5:
-            assert result.subregions_used == 70
-    assert outcomes[3] == outcomes[4] == "partial"
-    assert all(outcomes[budget] == "met" for budget in range(5, 13))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 from .cycles import Cycle, CycleError, fundamental_cycle, is_reduced
 from .dual_graph import DualGraph, ParameterError, build_dynkin
@@ -31,6 +32,46 @@ DE_NUMERICS_NOTE = (
     "second kind is established by contradiction against an external "
     "solvability obstruction; no integral table applies"
 )
+
+
+def indented_json(doc) -> str:
+    """json.dumps(doc, indent=2), byte for byte, for a document whose dict
+    keys are all str.  CPython's json encodes with an indent in pure Python;
+    here a list of plain ints is one join, and keys and other scalars go
+    through json's own encoders."""
+    return _indented(doc, "\n")
+
+
+# json's encoding of each scalar type but float, looked up by exact type;
+# floats (NaN, Infinity) and subclasses go through json.dumps itself
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _indented(value, newline: str) -> str:
+    encode = _SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = newline + "  "
+    if isinstance(value, dict):
+        body = ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _indented(item, inner)
+            for key, item in value.items()
+        ])
+        return "{" + inner + body + newline + "}"
+    if set(map(type, value)) == {int}:
+        body = ("," + inner).join(map(int.__repr__, value))
+    else:
+        body = ("," + inner).join([_indented(item, inner) for item in value])
+    return "[" + inner + body + newline + "]"
 
 
 class Kind(enum.Enum):
@@ -82,7 +123,7 @@ class ClassificationReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return indented_json(self.to_dict())
 
     def to_text(self) -> str:
         lines = [

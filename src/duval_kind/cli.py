@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
-from .classify import classify
+from .classify import classify, indented_json
 from .cycles import CycleError, fundamental_cycle, is_reduced
 from .dual_graph import (
     GraphInvariantError,
@@ -46,10 +45,14 @@ class SystemExit2(Exception):
     """A usage error found after parsing; main prints it and exits 2."""
 
 
-@functools.cache  # one parser per process; parse_args keeps no state in it
+# One parser per process; parsing keeps no state in it.  Its `commands`
+# maps each command name to the subparser that parse_argv hands the rest
+# of argv to.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="duval-kind", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_classify = sub.add_parser("classify", help="kind verdict for an ADE type")
     p_classify.add_argument("type", choices=["A", "D", "E"])
@@ -113,15 +116,7 @@ def _cmd_cycle(args) -> int:
         raise SystemExit2("expected either --graph FILE or an ADE type and index")
     z = fundamental_cycle(g)
     if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "coefficients": list(z.coefficients),
-                    "reduced": is_reduced(z),
-                },
-                indent=2,
-            )
-        )
+        print(indented_json({"coefficients": list(z.coefficients), "reduced": is_reduced(z)}))
     else:
         flag = "reduced" if is_reduced(z) else "not reduced"
         print(" ".join(str(c) for c in z.coefficients) + ", " + flag)
@@ -179,10 +174,23 @@ _EXIT_CODES = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_argv(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv) in one argparse pass: a command's own
+    subparser parses the rest of argv, as the top-level parser would hand it
+    on.  Empty argv, an unknown command and leftover arguments take the
+    top-level parse_args, so every usage line and error is argparse's own."""
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
         return _HANDLERS[args.command](args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ class Cycle:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(map(int, self.coefficients))
+        coeffs = tuple(list(map(int, self.coefficients)))  # final size, as in DualGraph
         if len(coeffs) == 0:
             raise CycleError("cycle must have at least one coefficient")
         if min(coeffs) < 0:

@@ -69,7 +69,10 @@ class DualGraph:
         if n < 1:
             raise GraphInvariantError("vertex_count_positive", f"got {n}")
         _check_vertex_bound(n)
-        weights = tuple(map(int, self.self_intersections))
+        # through a list, so that the tuple is made at its final size:
+        # tuple(map(...)) resizes one of a guessed size, which moves tuples
+        # between CPython's per-size free lists until a full collection
+        weights = tuple(list(map(int, self.self_intersections)))
         object.__setattr__(self, "self_intersections", weights)
         if len(weights) != n:
             raise GraphInvariantError(

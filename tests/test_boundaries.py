@@ -4,7 +4,8 @@ Inside levelset, the psi-form keeps to e0 = e^psi0 (no softplus), the
 kernel to (15, 2) rule products (no matrix-vector product with _WK) and
 to flat integrands (no isinstance), and a band is one panel whose levels
 are the only adaptive integrals (`annulus_bands` reaches the kernel
-through `_psi_integral` alone)."""
+through `_psi_integral` alone).  The JSON that cli and classify print
+has one writer, `classify.indented_json`."""
 
 import ast
 import os
@@ -111,3 +112,18 @@ def test_annulus_bands_reaches_the_kernel_only_through_psi_integral():
             if callee not in reached and callee != "_psi_integral"
         )
     assert "_kronrod" not in reached
+
+
+def test_no_json_dumps_with_indent_in_cli_or_classify():
+    # stdout JSON goes through classify.indented_json, which equals
+    # json.dumps(doc, indent=2) without CPython's pure-Python indent encoder
+    modules = parsed_modules()
+    for name in ("cli", "classify"):
+        indented = [
+            node.lineno
+            for node in ast.walk(modules[name])
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+            and any(keyword.arg == "indent" for keyword in node.keywords)
+        ]
+        assert not indented, (name, indented)

@@ -1,7 +1,10 @@
 import importlib
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duval_kind.classify import (
     DE_NUMERICS_NOTE,
@@ -10,6 +13,7 @@ from duval_kind.classify import (
     Kind,
     classify,
     classify_graph,
+    indented_json,
 )
 from duval_kind.dual_graph import (
     DualGraph,
@@ -161,3 +165,42 @@ def test_numerics_compute_each_integral_once(monkeypatch):
     assert (n, tuple(ks)) == (2, (1, 2, 3))
     for row in report.numerical_evidence:
         assert row.defect_bound == 4.0 * row.integral
+
+
+# -- the indent-2 JSON writer ---------------------------------------------------
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**63, 2**200)
+    | st.integers(-(2**200), -(2**63))
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | st.text()
+    | st.sampled_from(['"', "\\", '"quoted" \\ back', "\u00e9", "\u2028", "\U0001f600", "\x00\x1f\x7f"])
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.lists(st.integers())  # the writer's join path
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(JSON_DOCS)
+def test_indented_json_is_json_dumps_indent_2(doc):
+    assert indented_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_every_report_json_is_json_dumps_indent_2():
+    cases = [("A", n, False) for n in (*range(1, 9), 55, 1000)]
+    cases += [("D", n, False) for n in (*range(4, 9), 55, 1000)]
+    cases += [("E", n, False) for n in (6, 7, 8)]
+    cases += [("A", n, True) for n in (1, 2, 3)] + [("D", 4, True), ("E", 6, True)]
+    for type_, n, numerics in cases:
+        report = classify(type_, n, with_numerics=numerics)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2), (type_, n, numerics)

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import duval_kind
@@ -17,8 +17,12 @@ from duval_kind.cli import (
     EXIT_NOT_NEGATIVE_DEFINITE,
     EXIT_OK,
     EXIT_USAGE,
+    SystemExit2,
+    build_parser,
     main,
+    parse_argv,
 )
+from duval_kind.cycles import fundamental_cycle, is_reduced
 from duval_kind.dual_graph import build_dynkin, graph_to_dict
 
 
@@ -265,6 +269,26 @@ def test_reused_parser_keeps_no_state(capsys):
     assert once == twice
     assert once[0] == EXIT_OK
     assert [run_cli(capsys, *argv) for argv in (malformed, nan_tol)] == first_errors
+
+
+def test_fundamental_cycle_structured_is_json_dumps_indent_2(capsys):
+    for type_, n in [("A", 1), ("A", 55), ("D", 4), ("D", 1000), ("E", 6), ("E", 7), ("E", 8)]:
+        code, out, _ = run_cli(capsys, "fundamental-cycle", type_, str(n), "--format", "structured")
+        z = fundamental_cycle(build_dynkin(type_, n))
+        doc = {"coefficients": list(z.coefficients), "reduced": is_reduced(z)}
+        assert (code, out) == (EXIT_OK, json.dumps(doc, indent=2) + "\n"), (type_, n)
+
+
+def test_a_command_is_parsed_once_by_its_subparser(capsys, monkeypatch):
+    def top_level_parse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    parser = build_parser()
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(parser, name, top_level_parse)
+    for argv in (["classify", "D", "55", "--format", "structured"], ["fundamental-cycle", "E", "8"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
 
 
 # -- numpy loads with the first integral, and only then ----------------------
@@ -581,3 +605,56 @@ def test_fuzzed_graph_file_ends_in_a_contract_exit_code(tmp_path, seed):
             assert err.getvalue().startswith("error:"), doc
         codes.add(code)
     assert EXIT_USAGE in codes
+
+
+# -- one grammar: a command's subparser agrees with the top-level parse ---------
+
+def parse_outcome(parse, argv):
+    """(result, stdout, stderr) of parse(argv): the result is the repr of the
+    Namespace's sorted vars() (so that a NaN equals itself), or the exit
+    code, with the message main prints after "error:" for a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = repr(sorted(vars(parse(argv)).items()))
+        except SystemExit2 as exc:
+            result = (EXIT_USAGE, str(exc))
+        except SystemExit as exc:  # -h and --help
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+EXTRA_TOKEN = st.sampled_from([
+    "--", "-h", "--help", "--he", "-", "extra", "--x=y", "-x", "-3", "A", "3",
+    "--format", "--format=structured", "--form", "--numerics", "--graph", "classify",
+]) | st.text(ARGV_TEXT, max_size=6)
+UNKNOWN_COMMAND = st.text(ARGV_TEXT, max_size=12).filter(lambda word: word not in SUBCOMMANDS)
+
+
+@st.composite
+def routed_argv(draw):
+    """cli_argv, empty argv or an unknown command, with tokens inserted anywhere."""
+    argv = draw(
+        cli_argv()
+        | st.just([])
+        | st.tuples(UNKNOWN_COMMAND, cli_argv()).map(lambda pair: [pair[0], *pair[1][1:]])
+    )
+    for token in draw(st.lists(EXTRA_TOKEN, max_size=3)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(deadline=None, max_examples=500)
+@given(routed_argv())
+@example([])
+@example(["-h"])
+@example(["--"])
+@example(["--", "classify", "A", "2"])
+@example(["classify", "--", "A", "2"])
+@example(["classify", "A", "2", "-h"])
+@example(["classify", "A", "2", "--x=y"])
+@example(["classify", "A", "2", "extra"])
+@example(["classify", "A", "2", "--form", "structured"])
+@example(["nope", "A", "2"])
+def test_direct_route_agrees_with_the_top_level_parse(argv):
+    assert parse_outcome(parse_argv, argv) == parse_outcome(build_parser().parse_args, argv)

@@ -368,6 +368,25 @@ def test_structure_form_l2_norm_matches_fixed_panel_reference(n):
             assert got.error_estimate <= tol * got.value
 
 
+# n = 3 radius inside one of the two windows where the error estimate is not
+# a bound (ROADMAP direction 7): at tol >= 1e-6 the value is 33.9 times its
+# estimate from the reference; below, the fine v-panels land on it
+WINDOW_RADIUS = 0.030965557587097632
+ESTIMATE_MISS = pytest.mark.xfail(
+    strict=True, reason="error estimate 33.9x below the true error (ROADMAP direction 7)"
+)
+
+
+@pytest.mark.parametrize(
+    "tol", [pytest.param(1e-4, marks=ESTIMATE_MISS), pytest.param(1e-6, marks=ESTIMATE_MISS), 1e-8]
+)
+def test_structure_form_l2_norm_window_radius_matches_reference(tol):
+    reference, uncertainty = structure_form_reference(3, WINDOW_RADIUS)
+    got = structure_form_l2_norm(3, WINDOW_RADIUS, tol)
+    slack = got.error_estimate + got.truncation_bound + uncertainty
+    assert abs(got.value - reference) <= slack
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_structure_form_l2_norm_radius_sweep(n):
     # log-spaced radii find what a few chosen ones miss

@@ -57,11 +57,11 @@ to the kernel.  With cosh y = e^delta,
 the excess is 1/sqrt(1 - e^{-2 delta}) - 1.  It has an inverse square
 root at psi = psi0, which the substitution v = sqrt(psi - psi0)
 (dpsi = 2v dv) removes: the v-integrand is smooth and bounded, and is
-integrated on the breakpoints 0, 1, 2 and V = _V_CUT = 6, or with each
-of those three panels cut in four at tolerances below 1e-6.  `_tail_bound`
-bounds what the cut drops at each level; a truncation bound is that
-times the scale, (2 pi)^2 / (2(n+1)) times int_band dl / l^2 =
-(1 - e^{-1}) / (2e^k) for I~_k, and pi^2 eps^2 for ||omega||^2.
+integrated on the breakpoints 0, 1, 2, 3 and V = _V_CUT = 6 at every
+tolerance.  `_tail_bound` bounds what the cut drops at each level; a
+truncation bound is that times the scale, (2 pi)^2 / (2(n+1)) times
+int_band dl / l^2 = (1 - e^{-1}) / (2e^k) for I~_k, and pi^2 eps^2 for
+||omega||^2.
 
 In floats, every level carries e0 = e^{psi0}.  Every level has l < 0,
 and f(0) = log 3 > 0 in `_level_s0`, so s0 < 0 and psi0 <= log 2: e0 <= 2
@@ -78,16 +78,14 @@ The kernel.  The levels run on one Gauss-Kronrod panel rule (G7/K15,
 QUADPACK, Piessens et al. 1983), vectorised over the nodes of all panels
 of a family of integrals, in one round.  A panel's error estimate is
 |K15 - G7|, floored at 50 eps_mach K15 (both integrands are >= 0, so
-K15 is the rule's sum h |f|).  No panel is refined: the excess falls
-geometrically as its panels are cut, and the level's tolerance picks
-them, three panels from 1e-6 up and twelve below (`_COARSE_TOL`, whose
+K15 is the rule's sum h |f|).  No panel is refined and the tolerance
+picks none: every level takes the four panels of `_V_POINTS`, whose
 comment quotes the margins that tests/level_sweep.py measures over every
-level the program evaluates).  `level_norm` is a family of one level.
+level the program evaluates.  `level_norm` is a family of one level.
 `annulus_bands` takes each band as its one K15/G7 panel in u: the levels
-at the 15 nodes of all bands are one family, each at a tenth of the
-band's tolerance, and a band's error estimate is its |K15 - G7|, floored
-alike, plus its levels' errors weighted by K15.  A band counts its panel
-and its levels' panels, 1 + 15 * 3 or 1 + 15 * 12.
+at the 15 nodes of all bands are one family, and a band's error estimate
+is its |K15 - G7|, floored alike, plus its levels' errors weighted by
+K15.  A band counts its panel and its levels' panels, 1 + 15 * 4.
 
 `quadrature` checks the arguments and then calls `annulus_bands` or
 `level_norm`, which return finished QuadratureResults: scaled, with their
@@ -146,22 +144,19 @@ _EPS = float(np.finfo(float).eps)
 _ROUNDOFF_FLOOR = 50.0 * _EPS
 # the v-axis is cut at _V_CUT; _tail_bound bounds what the cut drops
 _V_CUT = 6.0
-_V_POINTS = np.array([0.0, 1.0, 2.0, _V_CUT])
-# each panel of _V_POINTS cut into four equal ones
-_V_POINTS_FINE = np.interp(np.arange(13) / 4.0, np.arange(4.0), _V_POINTS)
-# a level takes _V_POINTS at tolerances from _COARSE_TOL up and
-# _V_POINTS_FINE below.  Over every level the program evaluates
-# (tests/level_sweep.py: the band nodes of k = 1..4 and 4000 norm levels
-# for eps in [1e-100, 1/2], for n = 1..39 and 40 log-spaced n up to 2^53)
-# the worst relative error estimate is 1.74e-7 on _V_POINTS, 5.7 times
-# within 1e-6.  On _V_POINTS_FINE it is 1.74e-11 over band levels, 57
-# times within their least tolerance 1e-9 (a tenth of the floor 1e-8),
-# and 9.56e-11 over norm levels, 105 times within 1e-8.  Panels cut in two
-# instead give 3.84e-9 over band levels, which misses 1e-9.
-_COARSE_TOL = 1e-6
+# a level takes the panels between these breakpoints at every tolerance.
+# Over every level the program evaluates (tests/level_sweep.py: the band
+# nodes of k = 1..4 and 4000 norm levels for eps in [1e-100, 1/2], for
+# n = 1..39 and 40 log-spaced n up to 2^53) the worst relative error
+# estimate is 1.52e-10 over band levels and 1.15e-9 over norm levels, 66
+# and 8.7 times within the floor tolerance 1e-8.  The breakpoint 3 splits
+# [2, 6], near which lie the poles of sigma(-psi) at v^2 = -psi0 +- i pi
+# (v = 2.5 +- 0.63i at psi0 = -6); the shorter panels see them through
+# larger Bernstein ellipses (Trefethen, SIAM Rev. 50, 2008).  On 0, 1, 2, 6
+# the norm at n = 3, eps = 0.0310 is 34 times off its own estimate, and
+# the three panels 0, 1.5, 3, 6 give 1.2e-8 over band levels.
+_V_POINTS = np.array([0.0, 1.0, 2.0, 3.0, _V_CUT])
 _LOG_2 = math.log(2.0)
-# the levels of a band get this share of its relative tolerance
-_INNER_SHARE = 0.1
 _NEWTON_STEPS = 60
 
 
@@ -200,15 +195,15 @@ def _level_s0(n: int, ell: float) -> float:
     raise ArithmeticError(f"Newton for the level s0 did not converge in {_NEWTON_STEPS} steps")
 
 
-def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float):
+def _psi_integral(n: int, psi0, a: float, b: float):
     """int_{psi0}^inf sigma(-psi) (a + b sigma(psi)) coth y dpsi for each
     entry of psi0 <= log 2, as one family in one kernel round: arrays
     (values, errors) and the panels of each level.
 
     With e0 = e^psi0, the coth y = 1 part is a (log1p(e0) - psi0) +
     b / (1 + e0) in closed form; the excess coth y - 1 is integrated in
-    v = sqrt(psi - psi0) on the breakpoints _V_POINTS, or _V_POINTS_FINE
-    if rel_tol is below _COARSE_TOL, where cosh y = e^delta with
+    v = sqrt(psi - psi0) on the breakpoints _V_POINTS, where
+    cosh y = e^delta with
     delta = v^2 + (n-1)/2 log1p(p expm1(v^2)), p = e0 / (1 + e0), and
     sigma(-psi) = 1 / (1 + e0 e^{v^2}), whose e0 e^{v^2} <= 2 e^36 cannot
     overflow.  The excess falls as e^{-2 delta} <= e^{-2v^2}, so with 2 a
@@ -229,9 +224,8 @@ def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float):
         weight = a + b * e_psi * sigma_neg if b else a
         return 2.0 * weight * v * sigma_neg * np.exp(decay) / (root_q * (1.0 + root_q))
 
-    points = _V_POINTS if rel_tol >= _COARSE_TOL else _V_POINTS_FINE
-    m, panels = len(psi0), len(points) - 1
-    grid = points[None, :].repeat(m, axis=0)
+    m, panels = len(psi0), len(_V_POINTS) - 1
+    grid = _V_POINTS[None, :].repeat(m, axis=0)
     rows = np.repeat(np.arange(m), panels)
     val, err = _kronrod(excess, grid[:, :-1].ravel(), grid[:, 1:].ravel(), rows)
     value, error = np.bincount(rows, val, m), np.bincount(rows, err, m)
@@ -240,7 +234,7 @@ def _psi_integral(n: int, psi0, a: float, b: float, rel_tol: float):
 
 
 def _tail_bound(a: float, b: float) -> float:
-    """Bound on what the cut at v = _V_CUT drops from _psi_integral(.., a, b, ..).
+    """Bound on what the cut at v = _V_CUT drops from _psi_integral(.., a, b).
 
     delta >= v^2 and coth y - 1 <= 1/(e^{2 delta} - 1), and the weight
     sigma(-psi)(a + b sigma(psi)) is at most a + b/4, so the dropped part is
@@ -252,7 +246,7 @@ def _tail_bound(a: float, b: float) -> float:
 def _result(value, error, panels, scale, truncation, rel_tol) -> QuadratureResult:
     """The kernel's result times scale, or QuadratureBudgetError carrying it
     if its error estimate misses the tolerance (no level the program
-    evaluates does, by the margins at _COARSE_TOL)."""
+    evaluates does, by the margins quoted at _V_POINTS)."""
     result = QuadratureResult(
         max(scale * float(value), 0.0), scale * float(error), panels, truncation
     )
@@ -279,7 +273,7 @@ def annulus_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...]:
     half = 0.5 * (np.array([ends[k + 1] for k in ks]) - lo)
     s0 = -np.exp((lo + half)[:, None] + half[:, None] * _XK).ravel()
     psi0 = (n - 1) * s0 + _LOG_2
-    inner, inner_err, panels = _psi_integral(n, psi0, 1.0, 0.0, _INNER_SHARE * rel_tol)
+    inner, inner_err, panels = _psi_integral(n, psi0, 1.0, 0.0)
     e0 = np.exp(psi0)
     ell = 2.0 * s0 + np.log1p(e0)
     # ds0 = s0 du, and u falls from log(-s0) at L = -2e^{k+1} to lo as s0 rises
@@ -304,6 +298,6 @@ def level_norm(n: int, eps: float, rel_tol: float) -> QuadratureResult:
     """||omega||^2 = pi^2 eps^2 int_{psi0}^inf sigma(-psi) (2 + (n-1) sigma(psi))
     coth y dpsi on the level L = 2 log eps."""
     psi0 = (n - 1) * _level_s0(n, 2.0 * math.log(eps)) + _LOG_2
-    (value,), (error,), panels = _psi_integral(n, np.array([psi0]), 2.0, n - 1.0, rel_tol)
+    (value,), (error,), panels = _psi_integral(n, np.array([psi0]), 2.0, n - 1.0)
     scale = math.pi**2 * eps**2
     return _result(value, error, panels, scale, scale * _tail_bound(2.0, n - 1.0), rel_tol)

@@ -1,4 +1,4 @@
-"""Worst relative error estimate of each v-panel set over the levels the
+"""Worst relative error estimate of the v-panels over the levels the
 program evaluates.
 
 Run as a script (pytest does not collect it):
@@ -8,13 +8,12 @@ Run as a script (pytest does not collect it):
 For n = 1..39 and 40 log-spaced n up to 2^53 it records the levels that
 `integral_Ik_bands(n, (1, 2, 3, 4), .)` and `structure_form_l2_norm` at
 4000 log-spaced radii eps in [1e-100, 1/2] hand to
-`levelset._psi_integral`, and evaluates each of them again on three
-panel sets: `levelset._V_POINTS`, each of its panels cut in two, and
-each cut in four (`levelset._V_POINTS_FINE`).  It prints, per panel set,
-the worst of `_psi_integral`'s error over its value, which is what a
-level's tolerance is checked against: a band's levels at a tenth of the
-band's tolerance, a norm's one level at the norm's.  The margins of
-`levelset._COARSE_TOL` quote this output.  It takes about a minute.
+`levelset._psi_integral`, and evaluates each of them again on two panel
+sets: `levelset._V_POINTS` and, for comparison, the three panels 0, 1.5,
+3, 6.  It prints, per panel set and kind of level, the worst of
+`_psi_integral`'s error over its value and how many times that is within
+the floor tolerance 1e-8.  The comment at `levelset._V_POINTS` quotes the
+two margins of `_V_POINTS`.  It takes about a minute.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from duval_kind import levelset
 from duval_kind.quadrature import MAX_N, integral_Ik_bands, structure_form_l2_norm
 
 RADII = np.geomspace(1e-100, 0.5, 4000)
+FLOOR_TOL = 1e-8
 
 
 def sweep_ns() -> list[int]:
@@ -38,9 +38,9 @@ def recorded_levels(n: int) -> dict[str, tuple]:
     seen = []
     psi_integral = levelset._psi_integral
 
-    def recording(n, psi0, a, b, rel_tol):
+    def recording(n, psi0, a, b):
         seen.append((psi0, a, b))
-        return psi_integral(n, psi0, a, b, rel_tol)
+        return psi_integral(n, psi0, a, b)
 
     levelset._psi_integral = recording
     try:
@@ -58,26 +58,19 @@ def recorded_levels(n: int) -> dict[str, tuple]:
 
 def relative_estimates(n: int, psi0, a: float, b: float, points) -> np.ndarray:
     """_psi_integral's error over value for each level, on the breakpoints points."""
-    fine = levelset._V_POINTS_FINE
-    levelset._V_POINTS_FINE = points
+    kept = levelset._V_POINTS
+    levelset._V_POINTS = points
     try:
-        values, errors, _ = levelset._psi_integral(n, psi0, a, b, 0.0)
+        values, errors, _ = levelset._psi_integral(n, psi0, a, b)
     finally:
-        levelset._V_POINTS_FINE = fine
+        levelset._V_POINTS = kept
     return errors / values
-
-
-def cut(points, parts: int) -> np.ndarray:
-    """points with each of their panels cut into parts equal ones."""
-    index = np.arange((len(points) - 1) * parts + 1) / parts
-    return np.interp(index, np.arange(len(points)), points)
 
 
 def main() -> int:
     panel_sets = {
-        "coarse (3 panels)": levelset._V_POINTS,
-        "halved (6 panels)": cut(levelset._V_POINTS, 2),
-        "quartered (12 panels)": levelset._V_POINTS_FINE,
+        "_V_POINTS (4 panels)": levelset._V_POINTS,
+        "0, 1.5, 3, 6 (3 panels)": np.array([0.0, 1.5, 3.0, levelset._V_CUT]),
     }
     worst = {}
     for n in sweep_ns():
@@ -87,7 +80,10 @@ def main() -> int:
                 if estimate > worst.get((name, kind), (-math.inf,))[0]:
                     worst[name, kind] = (estimate, n)
     for (name, kind), (estimate, n) in worst.items():
-        print(f"{name:22} {kind}: worst relative estimate {estimate:.2e} (n = {n})")
+        print(
+            f"{name:24} {kind}: worst relative estimate {estimate:.2e} (n = {n}), "
+            f"{FLOOR_TOL / estimate:.3g} times within {FLOOR_TOL:g}"
+        )
     return 0
 
 

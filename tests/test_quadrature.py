@@ -71,7 +71,7 @@ def test_band_family_matches_lone_integrals(n, ks, tol):
     # each row of the family is its band alone: the same panels and
     # truncation bound, and values equal up to rounding (BLAS products over
     # a different number of panels round a row differently);
-    # the rows use 46 panels at 1e-4 and 181 at 1e-8
+    # a row uses 61 panels at every tolerance
     family = integral_Ik_bands(n, ks, tol)
     assert len(family) == len(ks)
     for k, row in zip(ks, family):
@@ -255,9 +255,9 @@ def test_structure_form_l2_norm_small_radii():
     ],
 )
 def test_budget_exhaustion_carries_finite_partial(monkeypatch, call):
-    # on the coarse v-panels these levels miss 1e-8, so the result is
+    # on the v-panels 0, 1, 2, 6 these levels miss 1e-8, so the result is
     # raised with its partial, and the message names that partial's panels
-    monkeypatch.setattr(levelset, "_COARSE_TOL", 0.0)
+    monkeypatch.setattr(levelset, "_V_POINTS", np.array([0.0, 1.0, 2.0, 6.0]))
     with pytest.raises(QuadratureBudgetError) as info:
         call()
     partial = info.value.partial
@@ -301,25 +301,25 @@ def test_level_s0_solves_the_level_equation_at_d0(n):
 def test_psi_integral_closed_forms():
     # n = 1: psi0 = log 2 and int_{log 2}^inf sigma(-psi) coth y dpsi
     # = log(3/2) + C with C = pi/(3 sqrt 3) - log(3/2)
-    (value,), _, _ = _psi_integral(1, np.array([math.log(2.0)]), 1.0, 0.0, 1e-12)
+    (value,), _, _ = _psi_integral(1, np.array([math.log(2.0)]), 1.0, 0.0)
     assert value == pytest.approx(math.pi / (3.0 * math.sqrt(3.0)), rel=4e-16, abs=0.0)
     # psi0 -> -inf: sigma(-psi) -> 1, delta -> v^2 and C -> int_0^inf
     # (1 - tanh y) dy = log 2; at psi0 = -60 both limits hold to e^{-40}
-    (value,), _, _ = _psi_integral(5, np.array([-60.0]), 1.0, 0.0, 1e-12)
+    (value,), _, _ = _psi_integral(5, np.array([-60.0]), 1.0, 0.0)
     assert value - 60.0 == pytest.approx(math.log(2.0), abs=2.0 * math.ulp(value))
 
 
 def test_psi_integral_weight_with_sigma_psi():
     # the norm's weight a + b sigma(psi): at psi0 = -60, sigma(psi) < e^{-20}
     # up to v = 6, so the excess is a log 2 and the closed form a 60 + b
-    (value,), _, _ = _psi_integral(5, np.array([-60.0]), 2.0, 4.0, 1e-12)
+    (value,), _, _ = _psi_integral(5, np.array([-60.0]), 2.0, 4.0)
     expected = 2.0 * (60.0 + math.log(2.0)) + 4.0
     assert value == pytest.approx(expected, rel=0.0, abs=4.0 * math.ulp(expected))
     # n = 1, psi0 = log 2, where sigma(psi) runs from 2/3 to 1: with t = e^y,
     # int sigma(-psi) sigma(psi) coth y dpsi = int_1^inf (t^2 + 1) dt /
     # (t^2 + t + 1)^2 = 4 pi / (9 sqrt 3) - 1/3, so (a, b) = (2, 4) gives
     # 2 pi / (3 sqrt 3) + 4 (4 pi / (9 sqrt 3) - 1/3) = 22 pi / (9 sqrt 3) - 4/3
-    (value,), _, _ = _psi_integral(1, np.array([math.log(2.0)]), 2.0, 4.0, 1e-12)
+    (value,), _, _ = _psi_integral(1, np.array([math.log(2.0)]), 2.0, 4.0)
     expected = 22.0 * math.pi / (9.0 * math.sqrt(3.0)) - 4.0 / 3.0
     assert value == pytest.approx(expected, rel=4e-16, abs=0.0)
 
@@ -368,18 +368,12 @@ def test_structure_form_l2_norm_matches_fixed_panel_reference(n):
             assert got.error_estimate <= tol * got.value
 
 
-# n = 3 radius inside one of the two windows where the error estimate is not
-# a bound (ROADMAP direction 7): at tol >= 1e-6 the value is 33.9 times its
-# estimate from the reference; below, the fine v-panels land on it
+# n = 3 radius inside one of the two windows where, on the v-panels 0, 1, 2,
+# 6, the value was off the reference by 33.9 times its error estimate
 WINDOW_RADIUS = 0.030965557587097632
-ESTIMATE_MISS = pytest.mark.xfail(
-    strict=True, reason="error estimate 33.9x below the true error (ROADMAP direction 7)"
-)
 
 
-@pytest.mark.parametrize(
-    "tol", [pytest.param(1e-4, marks=ESTIMATE_MISS), pytest.param(1e-6, marks=ESTIMATE_MISS), 1e-8]
-)
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
 def test_structure_form_l2_norm_window_radius_matches_reference(tol):
     reference, uncertainty = structure_form_reference(3, WINDOW_RADIUS)
     got = structure_form_l2_norm(3, WINDOW_RADIUS, tol)
@@ -400,25 +394,32 @@ def test_structure_form_l2_norm_radius_sweep(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 10**6])
 def test_levels_converge_in_one_kronrod_round(monkeypatch, n):
     # no v-panel of a level splits, at any tolerance: a table is one round
-    # of the levels at the nodes of all its bands
+    # of the levels at the nodes of all its bands, and the tolerance picks
+    # no panels, so every value, error and panel count is that of 1e-8
     calls = []
     kronrod = levelset._kronrod
     monkeypatch.setattr(levelset, "_kronrod", lambda *args: calls.append(1) or kronrod(*args))
-    for tol in (1e-4, 1e-6, 1e-8):
+    radii = (1e-3, 0.14625625729010416, 0.5)
+    floor = (
+        integral_Ik_bands(n, (1, 2, 3, 4), 1e-8),
+        [structure_form_l2_norm(n, eps, 1e-8) for eps in radii],
+    )
+    for tol in (1e-2, 1e-4, 1e-6, 1e-8):
         calls.clear()
-        integral_Ik_bands(n, (1, 2, 3, 4), tol)
+        table = integral_Ik_bands(n, (1, 2, 3, 4), tol)
         assert len(calls) == 1, tol
-        for eps in (1e-3, 0.14625625729010416, 0.5):
+        norms = []
+        for eps in radii:
             calls.clear()
-            structure_form_l2_norm(n, eps, tol)
+            norms.append(structure_form_l2_norm(n, eps, tol))
             assert len(calls) == 1, (tol, eps)
+        assert (table, norms) == floor, tol
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-5, 9.9e-6, 1e-6, 9.9e-7, 1e-8])
 def test_every_table_and_norm_meets_its_tolerance(tol):
-    # across the switch to the fine v-panels (a band's levels take a tenth
-    # of its tolerance, so tables switch below 1e-5 and norms below 1e-6)
-    # and down to the floor, with nothing raised
+    # around 1e-5 and 1e-6, where the v-panels once switched, and down to
+    # the floor, with nothing raised
     for n in (1, 2, 3, 10, 1000, 2**53):
         for row in integral_Ik_bands(n, (1, 2, 3, 4), tol):
             assert row.error_estimate <= tol * row.value, n
@@ -430,8 +431,8 @@ def test_every_table_and_norm_meets_its_tolerance(tol):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_level_equation_is_solved_outside_kernel_rounds(monkeypatch, n):
     # the root s0 is solved at the ends of the bands and at the one level
-    # of a norm, never at a node: a table makes as many calls at 1e-8,
-    # where levels take the fine v-panels, as at 1e-4
+    # of a norm, never at a node: a table makes as many calls at 1e-8 as
+    # at 1e-4
     calls = []
     solve = levelset._level_s0
     monkeypatch.setattr(levelset, "_level_s0", lambda *args: calls.append(1) or solve(*args))

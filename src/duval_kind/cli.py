@@ -45,53 +45,111 @@ class SystemExit2(Exception):
     """A usage error found after parsing; main prints it and exits 2."""
 
 
-# One parser per process; parsing keeps no state in it.  Its `commands`
-# maps each command name to the subparser that parse_argv hands the rest
-# of argv to.
+_TYPES = ["A", "D", "E"]
+
+# Each command's help and its arguments as (name, add_argument keywords),
+# positionals first.  build_parser adds them in this order, and _direct
+# reads plain argv from them.  _direct takes an option's dest as its name
+# after "--" and its default from its keywords, None when absent as in
+# argparse, so the store_true flag states its default False.
+_GRAMMAR = {
+    "classify": ("kind verdict for an ADE type", [
+        ("type", {"choices": _TYPES}),
+        ("index", {"type": int}),
+        ("--numerics", {"action": "store_true", "default": False}),
+        ("--tol", {"type": float, "default": 1e-4}),
+        ("--format", {"choices": ["plain", "structured"], "default": "plain"}),
+    ]),
+    "fundamental-cycle": ("fundamental cycle of an ADE type or graph file", [
+        ("type", {"nargs": "?", "choices": _TYPES}),
+        ("index", {"nargs": "?", "type": int}),
+        ("--graph", {"metavar": "FILE"}),
+        ("--format", {"choices": ["plain", "structured"], "default": "plain"}),
+    ]),
+    "integral-table": ("annulus integral table for an A_n singularity", [
+        ("--type", {"choices": _TYPES, "default": "A"}),
+        ("--n", {"type": int, "required": True}),
+        ("--kmax", {"type": int, "default": 3}),
+        ("--tol", {"type": float, "default": 1e-4}),
+        ("--format", {"choices": ["plain", "csv"], "default": "csv"}),
+    ]),
+    "residue": ("hypersurface equation and residue denominator", [
+        ("type", {"nargs": "?", "choices": _TYPES}),
+        ("index", {"nargs": "?", "type": int}),
+        ("--equation", {"metavar": "POLY"}),
+    ]),
+}
+
+
+# One parser per process; parsing keeps no state in it.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of _GRAMMAR.  It parses every argv that _direct
+    does not, and so writes every usage line, help text and error."""
     parser = _Parser(prog="duval-kind", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
-
-    p_classify = sub.add_parser("classify", help="kind verdict for an ADE type")
-    p_classify.add_argument("type", choices=["A", "D", "E"])
-    p_classify.add_argument("index", type=int)
-    p_classify.add_argument("--numerics", action="store_true")
-    p_classify.add_argument("--tol", type=float, default=1e-4)
-    p_classify.add_argument(
-        "--format", choices=["plain", "structured"], default="plain"
-    )
-
-    p_cycle = sub.add_parser(
-        "fundamental-cycle", help="fundamental cycle of an ADE type or graph file"
-    )
-    p_cycle.add_argument("type", nargs="?", choices=["A", "D", "E"])
-    p_cycle.add_argument("index", nargs="?", type=int)
-    p_cycle.add_argument("--graph", metavar="FILE")
-    p_cycle.add_argument(
-        "--format", choices=["plain", "structured"], default="plain"
-    )
-
-    p_table = sub.add_parser(
-        "integral-table", help="annulus integral table for an A_n singularity"
-    )
-    p_table.add_argument("--type", choices=["A", "D", "E"], default="A")
-    p_table.add_argument("--n", type=int, required=True)
-    p_table.add_argument("--kmax", type=int, default=3)
-    p_table.add_argument("--tol", type=float, default=1e-4)
-    p_table.add_argument(
-        "--format", choices=["plain", "csv"], default="csv"
-    )
-
-    p_residue = sub.add_parser(
-        "residue", help="hypersurface equation and residue denominator"
-    )
-    p_residue.add_argument("type", nargs="?", choices=["A", "D", "E"])
-    p_residue.add_argument("index", nargs="?", type=int)
-    p_residue.add_argument("--equation", metavar="POLY")
-
+    for command, (help_text, arguments) in _GRAMMAR.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for name, keywords in arguments:
+            command_parser.add_argument(name, **keywords)
     return parser
+
+
+def _value(keywords: dict, word: str):
+    """word converted by its argument's type; ValueError when the
+    conversion fails or the value is not one of the choices."""
+    value = keywords.get("type", str)(word)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(word)
+    return value
+
+
+def _direct(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) read straight from _GRAMMAR, for argv
+    in its plain form: a command, then its positionals, then each of its
+    options at most once as `--name value` or `--name=value` (flags bare),
+    every value converted by its type into its choices, no value starting
+    with '-', and every required argument present.  None for any other
+    argv, which argparse then parses."""
+    grammar = _GRAMMAR.get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    values = {"command": argv[0]}
+    options = {}
+    words = argv[1:]
+    at = 0
+    try:
+        for name, keywords in grammar[1]:
+            if name[0] == "-":
+                options[name] = keywords
+                values[name[2:]] = keywords.get("default")
+            elif at < len(words) and words[at][:1] != "-":
+                values[name] = _value(keywords, words[at])
+                at += 1
+            elif keywords.get("nargs") == "?":
+                values[name] = None
+            else:
+                return None
+        while at < len(words):
+            name, equals, word = words[at].partition("=")
+            keywords = options.pop(name)  # KeyError: not an option here, or repeated
+            if "action" in keywords:  # a flag
+                if equals:
+                    return None
+                values[name[2:]] = True
+            else:
+                if not equals:
+                    at += 1
+                    word = words[at]  # IndexError: the value is missing
+                if word[:1] == "-":
+                    return None
+                values[name[2:]] = _value(keywords, word)
+            at += 1
+    except (IndexError, KeyError, ValueError):
+        return None
+    if any(keywords.get("required") for keywords in options.values()):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _cmd_classify(args) -> int:
@@ -175,17 +233,10 @@ _EXIT_CODES = {
 
 
 def parse_argv(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv) in one argparse pass: a command's own
-    subparser parses the rest of argv, as the top-level parser would hand it
-    on.  Empty argv, an unknown command and leftover arguments take the
-    top-level parse_args, so every usage line and error is argparse's own."""
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    """build_parser().parse_args(argv).  Plain argv is read from _GRAMMAR
+    by _direct; every other argv goes to argparse, which so writes every
+    usage line, help text and error."""
+    return _direct(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -229,19 +229,20 @@ def graph_to_dict(g: DualGraph) -> dict:
     }
 
 
-def _int_field(obj: dict, key: str, kind: str, index: int, default: int | None = None) -> int:
-    """obj[key] as an int; errors name the entry as f"{kind} {index}"."""
-    value = obj.get(key, default)
-    if type(value) is int:  # rejects bool, float and str
-        return value
+def _field_error(obj: dict, key: str, kind: str, index: int) -> GraphInvariantError:
+    """The error for obj[key] missing, null or not an int; it names the
+    entry as f"{kind} {index}".  Called only once a check has failed."""
+    value = obj.get(key)
     if value is None:
-        raise GraphInvariantError("field_present", f"{kind} {index} has no {key!r}")
-    raise GraphInvariantError(
+        return GraphInvariantError("field_present", f"{kind} {index} has no {key!r}")
+    return GraphInvariantError(
         "field_integer", f"{kind} {index} has {key!r} = {value!r}, expected an integer"
     )
 
 
 def graph_from_dict(doc: dict) -> DualGraph:
+    # each int field is checked inline by `type(x) is int`, which rejects
+    # bool, float and str: a K_1000 file has 1.5M of them
     if not (
         isinstance(doc, dict)
         and isinstance(doc.get("vertices"), list)
@@ -254,23 +255,36 @@ def graph_from_dict(doc: dict) -> DualGraph:
     for k, v in enumerate(vertices):
         if not isinstance(v, dict):
             raise GraphInvariantError("vertex_object", f"vertex entry {k} is {v!r}")
-    ids = [_int_field(v, "id", "vertex entry", k) for k, v in enumerate(vertices)]
+    ids = [v.get("id") for v in vertices]
+    for k, i in enumerate(ids):
+        if type(i) is not int:
+            raise _field_error(vertices[k], "id", "vertex entry", k)
     if sorted(ids) != list(range(len(vertices))):
         raise GraphInvariantError(
             "vertex_ids_contiguous", f"ids must be 0..{len(vertices) - 1}, got {ids}"
         )
     weights = [0] * len(vertices)
     for i, v in zip(ids, vertices):
-        weights[i] = _int_field(v, "self_intersection", "vertex", i)
+        w = v.get("self_intersection")
+        if type(w) is not int:
+            raise _field_error(v, "self_intersection", "vertex", i)
+        weights[i] = w
     edges = {}
     for k, e in enumerate(doc["edges"]):
         if not isinstance(e, dict):
             raise GraphInvariantError("edge_object", f"edge entry {k} is {e!r}")
-        a, b = _int_field(e, "a", "edge entry", k), _int_field(e, "b", "edge entry", k)
+        a, b = e.get("a"), e.get("b")
+        if type(a) is not int:
+            raise _field_error(e, "a", "edge entry", k)
+        if type(b) is not int:
+            raise _field_error(e, "b", "edge entry", k)
         key = (a, b) if a < b else (b, a)
         if key in edges:
             raise GraphInvariantError("edge_unique", f"duplicate edge {key}")
-        edges[key] = _int_field(e, "multiplicity", "edge entry", k, default=1)
+        m = e.get("multiplicity", 1)
+        if type(m) is not int:
+            raise _field_error(e, "multiplicity", "edge entry", k)
+        edges[key] = m
     return DualGraph(len(vertices), tuple(weights), edges)
 
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import duval_kind
+from duval_kind import cli
 from duval_kind.cli import (
     EXIT_BUDGET,
     EXIT_NOT_NEGATIVE_DEFINITE,
@@ -279,16 +280,24 @@ def test_fundamental_cycle_structured_is_json_dumps_indent_2(capsys):
         assert (code, out) == (EXIT_OK, json.dumps(doc, indent=2) + "\n"), (type_, n)
 
 
-def test_a_command_is_parsed_once_by_its_subparser(capsys, monkeypatch):
-    def top_level_parse(*args, **kwargs):
-        raise AssertionError("the top-level parser ran")
+def test_plain_argv_is_parsed_without_argparse(capsys, monkeypatch, tmp_path):
+    def no_parser():
+        raise AssertionError("argparse ran")
 
-    parser = build_parser()
-    for name in ("parse_args", "parse_known_args"):
-        monkeypatch.setattr(parser, name, top_level_parse)
-    for argv in (["classify", "D", "55", "--format", "structured"], ["fundamental-cycle", "E", "8"]):
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"vertices": TWO_VERTICES, "edges": [{"a": 0, "b": 1}]}))
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    for argv in (
+        ["classify", "D", "55", "--format", "structured"],
+        ["classify", "A", "2", "--numerics", "--tol=1e-3", "--format", "plain"],
+        ["fundamental-cycle", "E", "8"],
+        ["fundamental-cycle", "--graph", str(path), "--format=structured"],
+        ["integral-table", "--n", "1", "--kmax=1", "--tol", "1e-3", "--type", "A"],
+        ["residue", "D", "5"],
+        ["residue", "--equation", "x^2+y^3+z^5"],
+    ):
         code, _, err = run_cli(capsys, *argv)
-        assert (code, err) == (EXIT_OK, "")
+        assert (code, err) == (EXIT_OK, ""), argv
 
 
 # -- numpy loads with the first integral, and only then ----------------------
@@ -443,7 +452,12 @@ def cli_argv(draw):
     positionals, options = SUBCOMMANDS[command]
     argv = [command, *draw(positionals)]
     for option, value in draw(st.fixed_dictionaries({}, optional=options)).items():
-        argv += [option] if value is None else [f"{option}={value}"]
+        if value is None:
+            argv.append(option)
+        elif draw(st.booleans()):
+            argv += [option, value]
+        else:
+            argv.append(f"{option}={value}")
     return argv
 
 
@@ -645,7 +659,7 @@ def routed_argv(draw):
 
 
 @settings(deadline=None, max_examples=500)
-@given(routed_argv())
+@given(cli_argv() | routed_argv())
 @example([])
 @example(["-h"])
 @example(["--"])
@@ -656,5 +670,10 @@ def routed_argv(draw):
 @example(["classify", "A", "2", "extra"])
 @example(["classify", "A", "2", "--form", "structured"])
 @example(["nope", "A", "2"])
+@example(["classify", "D", "5", "--tol", "1e-3", "--numerics"])
+@example(["fundamental-cycle", "A", "--graph=", "--format", "structured"])
+@example(["integral-table", "--format", "plain", "--n=2"])
+@example(["residue", "--equation", "x^2"])
+@example(["classify", "A", "2", "--numerics="])
 def test_direct_route_agrees_with_the_top_level_parse(argv):
     assert parse_outcome(parse_argv, argv) == parse_outcome(build_parser().parse_args, argv)

@@ -445,37 +445,74 @@ def test_loader_rejects_bad_ids():
     assert info.value.invariant == "vertex_ids_contiguous"
 
 
+# the test id names the invariant, the text before the first colon
 @pytest.mark.parametrize(
-    "doc,invariant",
+    "doc,message",
     [
-        ({"vertices": {}, "edges": []}, "document_shape"),
-        ({"vertices": [0], "edges": []}, "vertex_object"),
-        ({"vertices": [{"self_intersection": -2}], "edges": []}, "field_present"),
-        ({"vertices": [{"id": 0}], "edges": []}, "field_present"),
-        ({"vertices": [{"id": 0, "self_intersection": "abc"}], "edges": []}, "field_integer"),
-        ({"vertices": [{"id": 0, "self_intersection": -2.5}], "edges": []}, "field_integer"),
-        ({"vertices": [{"id": True, "self_intersection": -2}], "edges": []}, "field_integer"),
-        ({"vertices": [{"id": "0", "self_intersection": -2}], "edges": []}, "field_integer"),
-        ({"vertices": [{"id": 0, "self_intersection": -2}], "edges": [[0, 1]]}, "edge_object"),
-        ({"vertices": [{"id": 0, "self_intersection": -2}], "edges": [{"a": 0}]}, "field_present"),
-        ({"vertices": [{"id": 0, "self_intersection": -2}], "edges": [{"b": 0}]}, "field_present"),
+        (
+            {"vertices": {}, "edges": []},
+            "document_shape: expected object with 'vertices' and 'edges' lists",
+        ),
+        ({"vertices": [0], "edges": []}, "vertex_object: vertex entry 0 is 0"),
+        (
+            {"vertices": [{"self_intersection": -2}], "edges": []},
+            "field_present: vertex entry 0 has no 'id'",
+        ),
+        ({"vertices": [{"id": 0}], "edges": []}, "field_present: vertex 0 has no 'self_intersection'"),
+        (
+            {"vertices": [{"id": 0, "self_intersection": "abc"}], "edges": []},
+            "field_integer: vertex 0 has 'self_intersection' = 'abc', expected an integer",
+        ),
+        (
+            {"vertices": [{"id": 0, "self_intersection": -2.5}], "edges": []},
+            "field_integer: vertex 0 has 'self_intersection' = -2.5, expected an integer",
+        ),
+        (
+            {"vertices": [{"id": True, "self_intersection": -2}], "edges": []},
+            "field_integer: vertex entry 0 has 'id' = True, expected an integer",
+        ),
+        (
+            {"vertices": [{"id": "0", "self_intersection": -2}], "edges": []},
+            "field_integer: vertex entry 0 has 'id' = '0', expected an integer",
+        ),
+        (
+            {"vertices": [{"id": 0, "self_intersection": -2}], "edges": [[0, 1]]},
+            "edge_object: edge entry 0 is [0, 1]",
+        ),
+        (
+            {"vertices": [{"id": 0, "self_intersection": -2}], "edges": [{"a": 0}]},
+            "field_present: edge entry 0 has no 'b'",
+        ),
+        (
+            {"vertices": [{"id": 0, "self_intersection": -2}], "edges": [{"b": 0}]},
+            "field_present: edge entry 0 has no 'a'",
+        ),
         (
             {"vertices": [{"id": 0, "self_intersection": -2}], "edges": [{"a": 0, "b": "1"}]},
-            "field_integer",
+            "field_integer: edge entry 0 has 'b' = '1', expected an integer",
         ),
         (
             {
                 "vertices": [{"id": 0, "self_intersection": -2}],
                 "edges": [{"a": 0, "b": 1, "multiplicity": "x"}],
             },
-            "field_integer",
+            "field_integer: edge entry 0 has 'multiplicity' = 'x', expected an integer",
+        ),
+        (  # a null field counts as missing
+            {
+                "vertices": [{"id": 0, "self_intersection": -2}],
+                "edges": [{"a": 0, "b": 1, "multiplicity": None}],
+            },
+            "field_present: edge entry 0 has no 'multiplicity'",
         ),
     ],
+    ids=lambda value: value.partition(":")[0] if isinstance(value, str) else None,
 )
-def test_loader_rejects_malformed_entries(doc, invariant):
+def test_loader_rejects_malformed_entries(doc, message):
     with pytest.raises(GraphInvariantError) as info:
         graph_from_dict(doc)
-    assert info.value.invariant == invariant
+    assert info.value.invariant == message.partition(":")[0]
+    assert str(info.value) == message
 
 
 def test_loader_rejects_bad_json(tmp_path):

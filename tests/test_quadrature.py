@@ -1,6 +1,8 @@
 import math
 import re
 
+import estimate_sweep
+import level_sweep
 import numpy as np
 import pytest
 
@@ -389,6 +391,21 @@ def test_structure_form_l2_norm_radius_sweep(n):
         got = structure_form_l2_norm(n, float(eps), 1e-4)
         slack = got.error_estimate + got.truncation_bound + uncertainty
         assert abs(got.value - reference) <= slack, eps
+
+
+def test_sweep_scripts_run_on_three_radii(monkeypatch):
+    # tests/level_sweep.py and tests/estimate_sweep.py read levelset's
+    # private names and pytest does not collect them: each runs here on
+    # one n and three radii, so that a rename in levelset fails tier-1
+    monkeypatch.setattr(level_sweep, "RADII", np.geomspace(1e-100, 0.5, 3))
+    for psi0, a, b in level_sweep.recorded_levels(2).values():
+        estimates = level_sweep.relative_estimates(2, psi0, a, b, levelset._V_POINTS)
+        assert np.all(np.isfinite(estimates))
+        assert estimates.max() < level_sweep.FLOOR_TOL
+    monkeypatch.setattr(estimate_sweep, "RADII", np.geomspace(1e-3, 0.5, 3))
+    misses, worst, at = estimate_sweep.worst_ratio(3)
+    assert misses == 0
+    assert 0 <= worst <= 1 and 1e-3 <= at <= 0.5
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10**6])

@@ -74,23 +74,24 @@ e^{-2 delta}; the weight a + b sigma(psi) costs a pass only where b != 0,
 in the norm.  The closed-form part adds 50 eps_mach of itself to the
 error estimate, for the rounding of psi0 and e0.
 
-The kernel.  The levels run on one Gauss-Kronrod panel rule (G7/K15,
-QUADPACK, Piessens et al. 1983), vectorised over the nodes of all panels
-of a family of integrals, in one round.  A panel's error estimate is
-|K15 - G7|, floored at 50 eps_mach K15 (both integrands are >= 0, so
-K15 is the rule's sum h |f|).  No panel is refined and the tolerance
-picks none: every level takes the four panels of `_V_POINTS`, whose
-comment quotes the margins that tests/level_sweep.py measures over every
-level the program evaluates.  `level_norm` is a family of one level.
+The kernel.  Every level takes the four panels between the breakpoints
+`_V_POINTS`, each with the Gauss-Kronrod pair G7/K15 (QUADPACK, Piessens
+et al. 1983).  `_psi_integral` evaluates the excess at the 4 x 15 nodes
+of all levels of a family as one (levels, 4, 15) array, applies both
+rules in one product with `_WKG` and sums each level's four panels.  A
+panel's error estimate is |K15 - G7|, floored at 50 eps_mach K15 (both
+integrands are >= 0, so K15 is the rule's sum h |f|).  No panel is
+refined and no tolerance reaches this module: the comment at `_V_POINTS`
+quotes the margins that tests/level_sweep.py measures over every level
+the program evaluates.  `level_norm` is a family of one level.
 `annulus_bands` takes each band as its one K15/G7 panel in u: the levels
 at the 15 nodes of all bands are one family, and a band's error estimate
 is its |K15 - G7|, floored alike, plus its levels' errors weighted by
 K15.  A band counts its panel and its levels' panels, 1 + 15 * 4.
 
-`quadrature` checks the arguments and then calls `annulus_bands` or
-`level_norm`, which return finished QuadratureResults: scaled, with their
-truncation bounds, or raised in a QuadratureBudgetError if an error
-estimate misses its tolerance, which no level the program evaluates does.
+`annulus_bands` and `level_norm` return finished QuadratureResults,
+scaled and with their truncation bounds; `quadrature` checks their
+arguments before and their error estimates against the tolerance after.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ import math
 
 import numpy as np
 
-from .quadrature import QuadratureBudgetError, QuadratureResult
+from .quadrature import QuadratureResult
 
 # QUADPACK qk15: Kronrod nodes in ascending order; the Gauss nodes are
 # every second one, starting at index 1.
@@ -132,10 +133,10 @@ _WG_CENTER = 0.417959183673469387755102040816327
 _XK = np.array([-x for x in _XK_HALF] + [0.0] + list(reversed(_XK_HALF)))
 _WK = np.array(list(_WK_HALF) + [_WK_CENTER] + list(reversed(_WK_HALF)))
 _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
-# K15 in column 0 and G7 on the Gauss rows of column 1: one matrix product
-# gives both rules without a strided copy, and (under OpenBLAS 0.3) rounds
-# a row alike for any number of rows above one, where a matrix-vector
-# product rounds it by the row count's remainder mod 4
+# K15 in column 0 and G7 at the Gauss nodes of column 1: one matrix
+# product gives both rules without a strided copy, and (under OpenBLAS
+# 0.3) rounds a panel alike however many levels share it, where a
+# matrix-vector product rounds by the panel count's remainder mod 4
 _WKG = np.zeros((15, 2))
 _WKG[:, 0] = _WK
 _WKG[1::2, 1] = _WG
@@ -158,18 +159,6 @@ _V_CUT = 6.0
 _V_POINTS = np.array([0.0, 1.0, 2.0, 3.0, _V_CUT])
 _LOG_2 = math.log(2.0)
 _NEWTON_STEPS = 60
-
-
-# -- the G7/K15 kernel ---------------------------------------------------------
-
-def _kronrod(f, lo, hi, rows):
-    """K15 values and error estimates of the panels [lo, hi] of integrals
-    rows.  f sees the nodes, one row of 15 per panel, and rows itself, one
-    entry per panel."""
-    half = 0.5 * (hi - lo)
-    x = 0.5 * (hi + lo)[:, None] + half[:, None] * _XK
-    kronrod, gauss = half * (f(x, rows) @ _WKG).T
-    return kronrod, np.maximum(np.abs(kronrod - gauss), _ROUNDOFF_FLOOR * kronrod)
 
 
 # -- level-set coordinates -----------------------------------------------------
@@ -197,7 +186,7 @@ def _level_s0(n: int, ell: float) -> float:
 
 def _psi_integral(n: int, psi0, a: float, b: float):
     """int_{psi0}^inf sigma(-psi) (a + b sigma(psi)) coth y dpsi for each
-    entry of psi0 <= log 2, as one family in one kernel round: arrays
+    entry of psi0 <= log 2, as one family in one rule product: arrays
     (values, errors) and the panels of each level.
 
     With e0 = e^psi0, the coth y = 1 part is a (log1p(e0) - psi0) +
@@ -212,25 +201,24 @@ def _psi_integral(n: int, psi0, a: float, b: float):
     e0 = np.exp(psi0)
     p = e0 / (1.0 + e0)
     half = 0.5 * (n - 1)
-
-    def excess(v, rows):
-        w = v * v
-        grow = np.expm1(w)
-        e_psi = e0[rows, None] * (1.0 + grow)
-        sigma_neg = 1.0 / (1.0 + e_psi)
-        decay = -2.0 * (w + half * np.log1p(p[rows, None] * grow))
-        # coth y - 1 = 1/sqrt(q) - 1 with q = 1 - e^{-2 delta}, free of cancellation
-        root_q = np.sqrt(-np.expm1(decay))
-        weight = a + b * e_psi * sigma_neg if b else a
-        return 2.0 * weight * v * sigma_neg * np.exp(decay) / (root_q * (1.0 + root_q))
-
-    m, panels = len(psi0), len(_V_POINTS) - 1
-    grid = _V_POINTS[None, :].repeat(m, axis=0)
-    rows = np.repeat(np.arange(m), panels)
-    val, err = _kronrod(excess, grid[:, :-1].ravel(), grid[:, 1:].ravel(), rows)
-    value, error = np.bincount(rows, val, m), np.bincount(rows, err, m)
+    lo, hi = _V_POINTS[:-1], _V_POINTS[1:]
+    width = 0.5 * (hi - lo)
+    v = (0.5 * (hi + lo))[:, None] + width[:, None] * _XK
+    # the excess at every node of every level: (levels, panels, 15)
+    w = v * v
+    grow = np.expm1(w)
+    e_psi = e0[:, None, None] * (1.0 + grow)
+    sigma_neg = 1.0 / (1.0 + e_psi)
+    decay = -2.0 * (w + half * np.log1p(p[:, None, None] * grow))
+    # coth y - 1 = 1/sqrt(q) - 1 with q = 1 - e^{-2 delta}, free of cancellation
+    root_q = np.sqrt(-np.expm1(decay))
+    weight = a + b * e_psi * sigma_neg if b else a
+    excess = 2.0 * weight * v * sigma_neg * np.exp(decay) / (root_q * (1.0 + root_q))
+    rules = excess @ _WKG
+    kronrod, gauss = width * rules[..., 0], width * rules[..., 1]
+    error = np.maximum(np.abs(kronrod - gauss), _ROUNDOFF_FLOOR * kronrod)
     main = a * (np.log1p(e0) - psi0) + b / (1.0 + e0)
-    return main + value, error + _ROUNDOFF_FLOOR * main, panels
+    return main + kronrod.sum(-1), error.sum(-1) + _ROUNDOFF_FLOOR * main, len(lo)
 
 
 def _tail_bound(a: float, b: float) -> float:
@@ -243,25 +231,9 @@ def _tail_bound(a: float, b: float) -> float:
     return (a + 0.25 * b) * cut / (2.0 * (1.0 - cut))
 
 
-def _result(value, error, panels, scale, truncation, rel_tol) -> QuadratureResult:
-    """The kernel's result times scale, or QuadratureBudgetError carrying it
-    if its error estimate misses the tolerance (no level the program
-    evaluates does, by the margins quoted at _V_POINTS)."""
-    result = QuadratureResult(
-        max(scale * float(value), 0.0), scale * float(error), panels, truncation
-    )
-    if not error <= rel_tol * abs(value):
-        raise QuadratureBudgetError(
-            f"rel err {error / max(abs(value), 1e-300):.2e} misses rel_tol {rel_tol:g} "
-            f"on {panels} panels (value {result.value:.6e})",
-            result,
-        )
-    return result
-
-
 # -- the two integrals -----------------------------------------------------------
 
-def annulus_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...]:
+def annulus_bands(n: int, ks) -> tuple[QuadratureResult, ...]:
     """I~_k = (2 pi)^2 / (2(n+1)) int over the band -2e^{k+1} < L < -2e^k
     of int_{psi0}^inf sigma(-psi) coth y dpsi (dL/ds0) ds0 / L^2 for each k
     in ks: each band is one K15/G7 panel in u = log(-s0) between the roots
@@ -285,19 +257,29 @@ def annulus_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...]:
     errors = np.maximum(np.abs(kronrod - gauss), _ROUNDOFF_FLOOR * kronrod)
     errors += half * np.einsum("ij,j->i", (inner_err * weight).reshape(fx.shape), _WK)
     scale = 4.0 * math.pi**2 / (2.0 * (n + 1))
+    used = 1 + 15 * panels  # the band's own panel and its 15 levels' panels
     results = []
     for k, value, error in zip(ks, kronrod, errors):
         # the cut's bound at each level, times int_band dl / l^2
         tail = scale * _tail_bound(1.0, 0.0) * (1.0 - math.exp(-1.0)) / (2.0 * math.exp(k))
-        # the band's own panel and its 15 levels' panels
-        results.append(_result(value, error, 1 + 15 * panels, scale, tail, rel_tol))
+        results.append(
+            QuadratureResult(max(scale * float(value), 0.0), scale * float(error), used, tail)
+        )
     return tuple(results)
 
 
-def level_norm(n: int, eps: float, rel_tol: float) -> QuadratureResult:
+def level_norm(n: int, eps: float) -> QuadratureResult:
     """||omega||^2 = pi^2 eps^2 int_{psi0}^inf sigma(-psi) (2 + (n-1) sigma(psi))
     coth y dpsi on the level L = 2 log eps."""
     psi0 = (n - 1) * _level_s0(n, 2.0 * math.log(eps)) + _LOG_2
     (value,), (error,), panels = _psi_integral(n, np.array([psi0]), 2.0, n - 1.0)
-    scale = math.pi**2 * eps**2
-    return _result(value, error, panels, scale, scale * _tail_bound(2.0, n - 1.0), rel_tol)
+    # eps^2 is subnormal below eps = 1.5e-154: scale by the mantissa's
+    # square and then by the exponent, which rounds only at the result
+    mantissa, exponent = math.frexp(eps)
+
+    def scaled(x):
+        return math.ldexp(math.pi**2 * (mantissa * mantissa) * float(x), 2 * exponent)
+
+    return QuadratureResult(
+        max(scaled(value), 0.0), scaled(error), panels, scaled(_tail_bound(2.0, n - 1.0))
+    )

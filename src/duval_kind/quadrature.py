@@ -2,17 +2,18 @@
 bound the graph-norm defect of the cut-off structure form, and the
 squared L^2 norm of the structure form on a ball.
 
-This module holds the argument ranges, the result type and the errors,
-and loads no numpy.  Each entry point checks its arguments, then imports
-`levelset` (the psi-form of both integrals, their scale and cut bounds,
-and the G7/K15 kernel: the one numpy module of the package) and returns
-its finished result.  So the exact half, the CLI parser and every usage
-error never load numpy; the first integral of a process pays that
-import.  `integral_Ik_bands` computes its bands as one family, each row
-as its band alone up to rounding; `integral_Ik` is the family of one.  A
-result whose error estimate misses its tolerance is raised in a
-QuadratureBudgetError, which carries it; the kernel's panels are chosen
-so that none does.
+This module holds the argument ranges, the tolerance, the result type
+and the errors, and loads no numpy.  Each entry point checks its
+arguments, then imports `levelset` (the psi-form of both integrals,
+their scale and cut bounds, and the G7/K15 kernel: the one numpy module
+of the package), which returns finished results and never sees the
+tolerance.  So the exact half, the CLI parser and every usage error never
+load numpy; the first integral of a process pays that import.
+`integral_Ik_bands` computes its bands as one family, each row as its
+band alone up to rounding; `integral_Ik` is the family of one.  Each
+result is checked here once: one whose error estimate misses its
+tolerance is raised in a QuadratureBudgetError, which carries it (exit 3
+in the CLI); the kernel's fixed panels are chosen so that none does.
 """
 
 from __future__ import annotations
@@ -62,6 +63,21 @@ def check_tol(rel_tol: float) -> None:
         raise QuadratureRangeError(f"rel_tol must be finite and >= 1e-8, got {rel_tol}")
 
 
+def _checked(result: QuadratureResult, rel_tol: float) -> QuadratureResult:
+    """result, or QuadratureBudgetError carrying it if its error estimate
+    misses the tolerance (no level the program evaluates does, by the
+    margins quoted at levelset._V_POINTS)."""
+    value, error = result.value, result.error_estimate
+    if not error <= rel_tol * value:
+        rel_err = error / value if value else math.inf
+        raise QuadratureBudgetError(
+            f"rel err {rel_err:.2e} misses rel_tol {rel_tol:g} "
+            f"on {result.subregions_used} panels (value {value:.6e})",
+            result,
+        )
+    return result
+
+
 def integral_Ik_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...]:
     """The annulus integrals I~_k over pi^{-1}(D_k) for the A_n covering,
     one result per k in ks, computed as one family."""
@@ -77,7 +93,7 @@ def integral_Ik_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...
 
     from . import levelset
 
-    return levelset.annulus_bands(n, checked, rel_tol)
+    return tuple(_checked(result, rel_tol) for result in levelset.annulus_bands(n, checked))
 
 
 def integral_Ik(n: int, k: int, rel_tol: float) -> QuadratureResult:
@@ -96,7 +112,7 @@ def structure_form_l2_norm(n: int, eps: float, rel_tol: float) -> QuadratureResu
 
     from . import levelset
 
-    return levelset.level_norm(n, eps, rel_tol)
+    return _checked(levelset.level_norm(n, eps), rel_tol)
 
 
 def defect_bound(integral: QuadratureResult) -> QuadratureResult:

@@ -14,11 +14,11 @@ log-sum-exp.  `level_psi` solves the level equation by Newton at a
 point y = (n+1)d measured from the corner y*, `level_s` reads s from it
 at a point d, and `structure_form_reference` integrates ||omega||^2 with
 it on a fixed Gauss-Legendre composite in y - y*.  `adaptive_1d` bisects
-panels of the product's G7/K15 rule on a plain 1-D integrand, for drills
-against closed forms.  `dominating_integral`
-sums the annulus integrals I~_1..I~_k_max of one band family, and
-`pullback_residue_density` is the constant density (n+1)^2 of the
-pulled-back structure form.
+G7/K15 panels, its own rule on the product's QUADPACK constants, on a
+plain 1-D integrand, for drills against closed forms.
+`dominating_integral` sums the annulus integrals I~_1..I~_k_max of one
+band family, and `pullback_residue_density` is the constant density
+(n+1)^2 of the pulled-back structure form.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from duval_kind import levelset
 from duval_kind.cycles import Cycle, CycleError
 from duval_kind.dual_graph import DualGraph, ParameterError, ade_type
+from duval_kind.levelset import _WG, _WK, _XK
 from duval_kind.quadrature import QuadratureResult, integral_Ik_bands
 
 # the phases' exact factor (2 pi)^2
@@ -336,16 +336,20 @@ _DRILL_ROUNDS = 40
 
 
 def adaptive_1d(f, a: float, b: float, rel_tol: float):
-    """Adaptive G7/K15 on [a, b] for a smooth integrand f >= 0 (the kernel's
-    roundoff floor assumes it) that maps an array of nodes to an array of
-    values; returns (value, error_estimate).  Each round runs the product's
-    panel rule `levelset._kronrod` on every panel and bisects those whose
-    error exceeds an equal share of the tolerance."""
+    """Adaptive G7/K15 on [a, b] for a smooth integrand f >= 0 that maps an
+    array of nodes to an array of values; returns (value, error_estimate).
+    Each round takes K15 and G7 on every panel from the product's QUADPACK
+    constants, estimates a panel's error as |K15 - G7| floored at 50
+    eps_mach K15 (f >= 0 makes K15 the rule's sum of |f|), and bisects the
+    panels whose error exceeds an equal share of the tolerance."""
     edges = np.array([a, b], dtype=float)
     for _ in range(_DRILL_ROUNDS):
         lo, hi = edges[:-1], edges[1:]
-        val, err = levelset._kronrod(lambda x, rows: f(x), lo, hi, np.zeros(len(lo), dtype=int))
-        value, error = float(val.sum()), float(err.sum())
+        half = 0.5 * (hi - lo)
+        fx = f(0.5 * (hi + lo)[:, None] + half[:, None] * _XK)
+        kronrod, gauss = half * (fx @ _WK), half * (fx[:, 1::2] @ _WG)
+        err = np.maximum(np.abs(kronrod - gauss), 50.0 * np.finfo(float).eps * kronrod)
+        value, error = float(kronrod.sum()), float(err.sum())
         if error <= rel_tol * abs(value):
             return value, error
         split = err > rel_tol * abs(value) / len(lo)
@@ -413,6 +417,8 @@ def structure_form_reference(n: int, eps: float, panels: int = 256) -> tuple[flo
         | {60.0, 2.0 * (n + 1), 40.0 * (n + 1)}
     )
     x, w = np.polynomial.legendre.leggauss(20)
+    # eps^2 is subnormal below eps = 1.5e-154: the exponent is applied last
+    mantissa, exponent = math.frexp(eps)
 
     def composite(m):
         edges = np.concatenate(
@@ -421,7 +427,8 @@ def structure_form_reference(n: int, eps: float, panels: int = 256) -> tuple[flo
         half = 0.5 * np.diff(edges)[:, None]
         psi = level_psi(n, ell, 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x)
         sigma = np.exp(-np.logaddexp(0.0, psi))
-        return 2.0 * math.pi**2 * eps**2 * float(np.sum(half * sigma * w))
+        integral = float(np.sum(half * sigma * w))
+        return math.ldexp(2.0 * math.pi**2 * (mantissa * mantissa) * integral, 2 * exponent)
 
     value = composite(panels)
     return value, abs(value - composite(panels // 2)) + 8.0 * np.finfo(float).eps * value

@@ -4,8 +4,9 @@ Inside levelset, the psi-form keeps to e0 = e^psi0 (no softplus), the
 kernel to (15, 2) rule products (no matrix-vector product with _WK) and
 to flat integrands (no isinstance), and a band is one panel whose levels
 are the only adaptive integrals (`annulus_bands` reaches the kernel
-through `_psi_integral` alone).  The JSON that cli and classify print
-has one writer, `classify.indented_json`."""
+through `_psi_integral` alone).  levelset returns finished results, and
+quadrature alone checks them against the tolerance.  The JSON that cli
+and classify print has one writer, `classify.indented_json`."""
 
 import ast
 import os
@@ -111,7 +112,18 @@ def test_annulus_bands_reaches_the_kernel_only_through_psi_integral():
             for callee in calls[name] & calls.keys()
             if callee not in reached and callee != "_psi_integral"
         )
-    assert "_kronrod" not in reached
+    # the v-panels and their (15, 2) rule product belong to _psi_integral
+    for name in reached:
+        assert not {"_V_POINTS", "_WKG"} & calls[name], name
+
+
+def test_levelset_leaves_the_tolerance_to_quadrature():
+    # levelset returns finished results; quadrature alone checks them
+    # against the tolerance and raises QuadratureBudgetError
+    tree = parsed_modules()["levelset"]
+    names = identifiers(tree) | {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    assert "rel_tol" not in names
+    assert "QuadratureBudgetError" not in names
 
 
 def test_no_json_dumps_with_indent_in_cli_or_classify():

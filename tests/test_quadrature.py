@@ -3,6 +3,7 @@ import re
 
 import estimate_sweep
 import level_sweep
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -383,6 +384,23 @@ def test_structure_form_l2_norm_window_radius_matches_reference(tol):
     assert abs(got.value - reference) <= slack
 
 
+@pytest.mark.parametrize("n", [3, 2**53])
+@pytest.mark.parametrize("eps", [1e-158, 1e-160, 1e-162])
+def test_structure_form_l2_norm_where_eps_squared_is_subnormal(n, eps):
+    # eps^2 is subnormal below eps = 1.5e-154: scaled by it, the n = 2^53
+    # norm was 1.5e-5 off at 1e-160 and 0.0 at 1e-162.  At these radii
+    # psi0 = (n-1) log eps + log 2 up to e^{psi0}, the excess integrates to
+    # 2 log 2, and so ||omega||^2 = pi^2 eps^2 (n-1)(1 - 2 log eps); at
+    # n = 3 the norm itself is subnormal, good to its last place
+    got = structure_form_l2_norm(n, eps, 1e-8)
+    slack = got.error_estimate + got.truncation_bound + math.ulp(got.value)
+    expected = mp.pi**2 * mp.mpf(eps) ** 2 * (n - 1) * (1 - 2 * mp.log(eps))
+    assert got.value > 0
+    assert abs(got.value - expected) <= slack
+    reference, uncertainty = structure_form_reference(n, eps)
+    assert abs(got.value - reference) <= slack + uncertainty
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_structure_form_l2_norm_radius_sweep(n):
     # log-spaced radii find what a few chosen ones miss
@@ -414,8 +432,8 @@ def test_levels_converge_in_one_kronrod_round(monkeypatch, n):
     # of the levels at the nodes of all its bands, and the tolerance picks
     # no panels, so every value, error and panel count is that of 1e-8
     calls = []
-    kronrod = levelset._kronrod
-    monkeypatch.setattr(levelset, "_kronrod", lambda *args: calls.append(1) or kronrod(*args))
+    inner = levelset._psi_integral
+    monkeypatch.setattr(levelset, "_psi_integral", lambda *args: calls.append(1) or inner(*args))
     radii = (1e-3, 0.14625625729010416, 0.5)
     floor = (
         integral_Ik_bands(n, (1, 2, 3, 4), 1e-8),
@@ -468,16 +486,17 @@ def test_level_equation_is_solved_outside_kernel_rounds(monkeypatch, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 1000])
 @pytest.mark.parametrize("tol", [1e-4, 1e-8])
 def test_reported_panels_are_the_panels_evaluated(monkeypatch, n, tol):
-    # every panel _kronrod evaluates is counted once in the subregions_used
-    # of the integral it belongs to, and each band adds its own one panel
+    # every level _psi_integral evaluates takes the panels between the
+    # breakpoints _V_POINTS, each counted once in the subregions_used of the
+    # integral it belongs to, and each band adds its own one panel
     evaluated = []
-    kronrod = levelset._kronrod
+    psi_integral = levelset._psi_integral
 
-    def counting(f, lo, hi, rows):
-        evaluated.append(len(lo))
-        return kronrod(f, lo, hi, rows)
+    def counting(n, psi0, a, b):
+        evaluated.append(len(psi0) * (len(levelset._V_POINTS) - 1))
+        return psi_integral(n, psi0, a, b)
 
-    monkeypatch.setattr(levelset, "_kronrod", counting)
+    monkeypatch.setattr(levelset, "_psi_integral", counting)
     table = integral_Ik_bands(n, (1, 2, 3, 4), tol)
     assert sum(row.subregions_used for row in table) == sum(evaluated) + len(table)
     evaluated.clear()

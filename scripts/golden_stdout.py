@@ -43,6 +43,15 @@ def cases():
     yield ["residue", "A", "1"]
     yield ["residue", "E", "7"]
     yield ["residue", "--equation", "x^2 + y^3 + z^5"]
+    for equation in (
+        "x + x",  # repeated terms
+        "x + y - x + x",  # a term that cancels and comes back
+        "x - x",  # full cancellation
+        "2 x^2 y - 5",  # implicit products and whitespace
+        "123456789012345678901234567890 z^2 - x*y",  # wider than 64 bits
+        "x^2 + + y",  # malformed
+    ):
+        yield ["residue", "--equation", equation]
 
 
 def run(argv):

@@ -289,16 +289,10 @@ def graph_from_dict(doc: dict) -> DualGraph:
 
 
 def load_graph(path: str) -> DualGraph:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259 section 8.1)
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             # not JSON, not UTF-8, or nested deeper than json can recurse
             raise GraphInvariantError("json_syntax", str(exc)) from exc
     return graph_from_dict(doc)
-
-
-def save_graph(g: DualGraph, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2)
-        fh.write("\n")

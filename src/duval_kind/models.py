@@ -16,7 +16,6 @@ from .poly import MAX_EXPONENT, Polynomial3, differentiate, parse_polynomial
 class HypersurfaceGerm:
     """A hypersurface equation f with its residue denominator df/dz."""
 
-    label: str
     equation: Polynomial3
     residue_denominator: Polynomial3
 
@@ -53,7 +52,7 @@ def duval_equation(type_: str, n: int) -> HypersurfaceGerm:
             )
         text = f"z^{z_exponent} - x*y" if type_ == "A" else f"x^2 + y^2*z + z^{z_exponent}"
     eq = parse_polynomial(text)
-    return HypersurfaceGerm(f"{type_}{n}", eq, differentiate(eq, "z"))
+    return HypersurfaceGerm(eq, differentiate(eq, "z"))
 
 
 def covering_image(

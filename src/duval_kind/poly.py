@@ -2,7 +2,9 @@
 
 Coefficients are arbitrary-precision integers; evaluation is complex
 binary64.  Terms are kept in a dict keyed by exponent triples and are
-always normalized (no zero coefficients).
+always normalized (no zero coefficients).  `parse_polynomial` adds each
+term's coefficient into one such dict and builds one `Polynomial3` at the
+end, so a parse takes time linear in the length of its text.
 """
 
 from __future__ import annotations
@@ -41,20 +43,6 @@ class Polynomial3:
                 clean[(int(a), int(b), int(c))] = int(coeff)
         object.__setattr__(self, "terms", clean)
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Polynomial3":
-        return Polynomial3({})
-
-    @staticmethod
-    def constant(c: int) -> "Polynomial3":
-        return Polynomial3({(0, 0, 0): c})
-
-    @staticmethod
-    def monomial(coeff: int, a: int, b: int, c: int) -> "Polynomial3":
-        return Polynomial3({(a, b, c): coeff})
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Polynomial3") -> "Polynomial3":
@@ -77,16 +65,8 @@ class Polynomial3:
                 terms[expo] = terms.get(expo, 0) + k1 * k2
         return Polynomial3(terms)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial3):
-            return NotImplemented
-        return dict(self.terms) == dict(other.terms)
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def sorted_terms(self) -> Iterator[tuple[tuple[int, int, int], int]]:
         """Terms in lexicographic exponent order (the canonical ordering)."""
@@ -174,7 +154,7 @@ def parse_polynomial(text: str) -> Polynomial3:
         except ValueError:  # too many digits for int(), or a non-ASCII digit
             raise PolynomialParseError("invalid integer", start) from None
 
-    result = Polynomial3.zero()
+    terms: dict[tuple[int, int, int], int] = {}
     i = skip_ws(i)
     if i == n:
         raise PolynomialParseError("empty polynomial", 0)
@@ -223,6 +203,7 @@ def parse_polynomial(text: str) -> Polynomial3:
                 break
         if not saw_factor:
             raise PolynomialParseError("expected term", i)
-        result = result + Polynomial3.monomial(coeff, *exps)
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
         i = skip_ws(i)
-    return result
+    return Polynomial3(terms)

@@ -343,12 +343,13 @@ NUMPY_LOADING = {
 }
 
 
-def run_fresh(argv, timeout=None):
+def run_fresh(argv, timeout=None, **environ):
     """(exit code or None, numpy imported, fractions imported, stdout) of argv
-    in a new interpreter; subprocess.TimeoutExpired after timeout seconds."""
+    in a new interpreter, with environ added to its environment;
+    subprocess.TimeoutExpired after timeout seconds."""
     source_root = os.path.dirname(os.path.dirname(duval_kind.__file__))
     search_path = [source_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
     done = subprocess.run(
         [sys.executable, "-c", FRESH_INTERPRETER, *argv],
         capture_output=True, text=True, env=env, check=True, timeout=timeout,
@@ -402,6 +403,33 @@ def test_bulk_laufer_steps_bound_the_work(tmp_path):
     code, _, _, out = run_fresh(argv, timeout=30)
     assert code == EXIT_OK
     assert json.loads(out)["coefficients"] == [10**9, 1]
+
+
+def test_graph_file_is_read_as_utf8_in_any_locale(tmp_path):
+    """JSON is UTF-8 (RFC 8259 section 8.1), whatever the locale's
+    preferred encoding: here ASCII."""
+    path = tmp_path / "a2.json"
+    doc = graph_to_dict(build_dynkin("A", 2))
+    doc["vertices"][0]["note"] = "\u00e9"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    argv = ["fundamental-cycle", "--graph", str(path), "--format", "structured"]
+    code, _, _, out = run_fresh(argv, timeout=30, PYTHONUTF8="0", LC_ALL="C")
+    assert code == EXIT_OK
+    assert json.loads(out)["coefficients"] == [1, 1]
+
+
+def test_residue_parse_is_linear_in_the_equation():
+    """12,000 distinct terms in one argv string under 128 KiB, the
+    kernel's limit on one argument.  A parse quadratic in the term count
+    takes about a minute here; the wall bound turns that into a failure."""
+    equation = "+".join(f"x^{e}" for e in range(1, 12001))
+    assert len(equation.encode()) < 128 * 1024
+    code, _, _, out = run_fresh(["residue", "--equation", equation], timeout=20)
+    assert code == EXIT_OK
+    f_line, dz_line = out.splitlines()
+    assert f_line.startswith("f = x + x^2 + ") and f_line.endswith(" + x^12000")
+    assert f_line.count("+") == 11999
+    assert dz_line == "df/dz = 0"
 
 
 # -- argv fuzzing --------------------------------------------------------------

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,7 @@ def test_differentiate_an_residue_denominator():
 
 
 def test_differentiate_constant_is_zero():
-    assert differentiate(Polynomial3.constant(5), "x").is_zero()
+    assert differentiate(Polynomial3({(0, 0, 0): 5}), "x") == Polynomial3()
 
 
 def test_differentiate_e8_equation():
@@ -42,7 +45,7 @@ def test_gradient_vanishes_examples():
 
 def test_gradient_vanishes_rejects_negative_tol():
     with pytest.raises(ValueError):
-        gradient_vanishes(Polynomial3.constant(1), (0, 0, 0), -1.0)
+        gradient_vanishes(Polynomial3({(0, 0, 0): 1}), (0, 0, 0), -1.0)
 
 
 def test_no_zero_terms_stored():
@@ -109,6 +112,22 @@ def test_largest_exponent_parses():
     assert dict(parse_polynomial("x^65535*x").terms) == {(65536, 0, 0): 1}
 
 
+def test_a_parse_constructs_one_polynomial(monkeypatch):
+    """Each term goes into one dict.  A polynomial per term would copy and
+    re-check the running sum each time, quadratic in the term count."""
+    post_init = Polynomial3.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Polynomial3, "__post_init__", counted)
+    p = parse_polynomial(" + ".join(f"x^{e}" for e in range(1, 501)))
+    assert len(calls) == 1
+    assert len(p.terms) == 500
+
+
 def test_str_roundtrip():
     for text in ["z^3 - x*y", "x^2 + y^2*z + z^3", "-2*x + 7"]:
         p = parse_polynomial(text)
@@ -130,7 +149,31 @@ monomials = st.tuples(
     st.integers(0, 3),
     st.integers(0, 3),
     st.integers(0, 3),
-).map(lambda t: Polynomial3.monomial(*t))
+).map(lambda t: Polynomial3({t[1:]: t[0]}))
+
+
+parse_terms = st.lists(
+    st.tuples(
+        st.integers(-3, 3) | st.integers(-(2**70), 2**70),  # small ones cancel
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(parse_terms, st.sampled_from(["*", " ", " * ", ""]))
+def test_parse_equals_the_sum_of_its_terms(terms, product):
+    """The parse of joined terms is the left fold of their monomials under +."""
+    text = " ".join(
+        ("- " if c < 0 else "+ ")
+        + product.join([str(abs(c))] + [f"{v}^{e}" for v, e in zip("xyz", expo)])
+        for c, expo in terms
+    )
+    folded = functools.reduce(
+        operator.add, (Polynomial3({expo: c}) for c, expo in terms), Polynomial3()
+    )
+    assert parse_polynomial(text) == folded
 
 
 @given(small_polys, small_polys, st.sampled_from(["x", "y", "z"]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 
@@ -42,11 +43,13 @@ def indented_json(doc) -> str:
     return _indented(doc, "\n")
 
 
-# json's encoding of each scalar type but float, looked up by exact type;
-# floats (NaN, Infinity) and subclasses go through json.dumps itself
+# json's encoding of each scalar type, looked up by exact type: a finite
+# float is its repr, as in json; NaN, the infinities and subclasses (such
+# as numpy.float64) go through json.dumps itself
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),
     bool: ("false", "true").__getitem__,
     type(None): lambda _: "null",
 }

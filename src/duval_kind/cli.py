@@ -200,8 +200,11 @@ def _cmd_residue(args) -> int:
             f = parse_polynomial(args.equation)
         except PolynomialParseError as exc:  # caret under the offending character
             raise SystemExit2(f"{exc}\n  {args.equation}\n  {' ' * exc.position}^") from exc
-        print(f"f = {f}")
-        print(f"df/dz = {differentiate(f, 'z')}")
+        try:  # both lines before either is printed
+            text = f"f = {f}\ndf/dz = {differentiate(f, 'z')}"
+        except ValueError as exc:  # past the digit limit of int to str
+            raise SystemExit2("a coefficient of f or df/dz has too many digits to print") from exc
+        print(text)
     elif args.equation is None and args.type is not None and args.index is not None:
         germ = duval_equation(args.type, args.index)
         print(f"f = {germ.equation}")

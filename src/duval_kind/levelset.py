@@ -280,6 +280,11 @@ def level_norm(n: int, eps: float) -> QuadratureResult:
     def scaled(x):
         return math.ldexp(math.pi**2 * (mantissa * mantissa) * float(x), 2 * exponent)
 
+    # ldexp rounds only a subnormal result, whose ulp is 2^-1074, by at most
+    # half of it: the error is floored at that half ulp rounded up to a float
     return QuadratureResult(
-        max(scaled(value), 0.0), scaled(error), panels, scaled(_tail_bound(2.0, n - 1.0))
+        max(scaled(value), 0.0),
+        max(scaled(error), math.ulp(0.0)),
+        panels,
+        scaled(_tail_bound(2.0, n - 1.0)),
     )

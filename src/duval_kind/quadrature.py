@@ -10,10 +10,15 @@ of the package), which returns finished results and never sees the
 tolerance.  So the exact half, the CLI parser and every usage error never
 load numpy; the first integral of a process pays that import.
 `integral_Ik_bands` computes its bands as one family, each row as its
-band alone up to rounding; `integral_Ik` is the family of one.  Each
-result is checked here once: one whose error estimate misses its
-tolerance is raised in a QuadratureBudgetError, which carries it (exit 3
-in the CLI); the kernel's fixed panels are chosen so that none does.
+band alone up to rounding; `integral_Ik` is the family of one.  For
+n = 1 every level has psi0 = log 2, and `_a1_band` gives each band in
+closed form, in plain math, as one exact region (`subregions_used` 1)
+with truncation bound 0 and its rounding bound as error: an n = 1 table
+loads no numpy (the n = 1 norm still takes the kernel).  Each result is
+checked here once: one whose error estimate misses its tolerance is
+raised in a QuadratureBudgetError, which carries it (exit 3 in the CLI);
+the kernel's fixed panels are chosen so that none does, save a norm so
+small that it is subnormal, whose rounding alone can exceed 1e-8 of it.
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ def check_tol(rel_tol: float) -> None:
 def _checked(result: QuadratureResult, rel_tol: float) -> QuadratureResult:
     """result, or QuadratureBudgetError carrying it if its error estimate
     misses the tolerance (no level the program evaluates does, by the
-    margins quoted at levelset._V_POINTS)."""
+    margins quoted at levelset._V_POINTS; a subnormal norm can, by its
+    rounding alone)."""
     value, error = result.value, result.error_estimate
     if not error <= rel_tol * value:
         rel_err = error / value if value else math.inf
@@ -76,6 +82,21 @@ def _checked(result: QuadratureResult, rel_tol: float) -> QuadratureResult:
             result,
         )
     return result
+
+
+# Rounding bound of _a1_band's expression, relative to its value, with
+# u = 2^-53: math.pi enters cubed (3u), pow, expm1 and exp each round
+# within an ulp (2u each), and sqrt, the three products and the quotient
+# within u each, 14u to first order.  Against 40-digit values it is off by
+# 2.5u to 3.4u at k = 1..4.
+_A1_ROUNDING = 16.0 * 2.0**-53
+
+
+def _a1_band(k: int) -> QuadratureResult:
+    """I~_k for n = 1, pi^3 (1 - e^{-1}) e^{-k} / (6 sqrt 3) exactly, as one
+    exact region with its rounding bound as error."""
+    value = math.pi**3 * -math.expm1(-1.0) * math.exp(-k) / (6.0 * math.sqrt(3.0))
+    return QuadratureResult(value, _A1_ROUNDING * value, 1, 0.0)
 
 
 def integral_Ik_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...]:
@@ -90,6 +111,8 @@ def integral_Ik_bands(n: int, ks, rel_tol: float) -> tuple[QuadratureResult, ...
     if not checked:
         raise QuadratureRangeError("need at least one k in 1..4, got none")
     check_tol(rel_tol)
+    if n == 1:
+        return tuple(_checked(_a1_band(k), rel_tol) for k in checked)
 
     from . import levelset
 

@@ -17,8 +17,9 @@ it on a fixed Gauss-Legendre composite in y - y*.  `adaptive_1d` bisects
 G7/K15 panels, its own rule on the product's QUADPACK constants, on a
 plain 1-D integrand, for drills against closed forms.
 `dominating_integral` sums the annulus integrals I~_1..I~_k_max of one
-band family, and `pullback_residue_density` is the constant density
-(n+1)^2 of the pulled-back structure form.
+band family, `a1_band_exact` is I~_k for n = 1 to 40 digits, and
+`pullback_residue_density` is the constant density (n+1)^2 of the
+pulled-back structure form.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from duval_kind.cycles import Cycle, CycleError
@@ -446,6 +448,12 @@ def dominating_integral(n: int, k_max: int, rel_tol: float) -> QuadratureResult:
         sum(p.subregions_used for p in parts),
         sum(p.truncation_bound for p in parts),
     )
+
+
+def a1_band_exact(k: int) -> mp.mpf:
+    """I~_k for n = 1 to 40 digits: pi^3 (1 - e^{-1}) e^{-k} / (6 sqrt 3)."""
+    with mp.workdps(40):
+        return mp.pi**3 * (1 - mp.exp(-1)) * mp.exp(-k) / (6 * mp.sqrt(3))
 
 
 def pullback_residue_density(n: int) -> float:

@@ -22,6 +22,7 @@ from duval_kind.dual_graph import (
     graph_from_dict,
     graph_to_dict,
 )
+from oracles import a1_band_exact
 
 
 def test_a2_first_kind():
@@ -80,6 +81,7 @@ def test_numerics_table_for_a_series():
     assert ks == [1, 2, 3]
     for row in report.numerical_evidence:
         assert row.integral > 0
+        assert abs(row.integral - a1_band_exact(row.k)) <= row.error, row.k
         assert row.defect_bound == pytest.approx(4.0 * row.integral, rel=1e-6)
 
 

@@ -211,6 +211,9 @@ MALFORMED_GRAPHS = {
 }
 MALFORMED_ARGV = {
     "exponent-overflow": ["residue", "--equation", "x^99999999"],
+    # coefficients of df/dz and of f with more digits than int prints
+    "derivative-past-digit-limit": ["residue", "--equation", "9" * 4300 + "z^9"],
+    "sum-past-digit-limit": ["residue", "--equation", "9" * 4300 + "x + " + "9" * 4300 + "x"],
     "classify-index-1001": ["classify", "A", "1001"],
     "fundamental-cycle-index-5000": ["fundamental-cycle", "D", "5000"],
     "integral-table-kmax-0": ["integral-table", "--n", "1", "--kmax", "0"],
@@ -300,7 +303,7 @@ def test_plain_argv_is_parsed_without_argparse(capsys, monkeypatch, tmp_path):
         assert (code, err) == (EXIT_OK, ""), argv
 
 
-# -- numpy loads with the first integral, and only then ----------------------
+# -- numpy loads with the first kernel integral, and only then -----------------
 
 # runs cli.main(argv) with stderr discarded, prints the exit code and
 # whether numpy and fractions were imported, then the command's stdout;
@@ -329,6 +332,13 @@ NUMPY_FREE = {
     "fundamental-cycle-graph": ["fundamental-cycle", "--graph", "GRAPH"],
     "residue-d5": ["residue", "D", "5"],
     "residue-equation": ["residue", "--equation", "x^2+y^3+z^5"],
+    # n = 1 bands are a closed form: no kernel
+    "table-n1-kmax1": ["integral-table", "--n", "1", "--kmax", "1"],
+    "table-n1-kmax4": ["integral-table", "--n", "1", "--kmax", "4"],
+    "classify-a1-numerics": ["classify", "A", "1", "--numerics"],
+}
+# usage errors: the argument checks precede the kernel import
+REFUSED_WITHOUT_NUMPY = {
     "table-tol-nan": ["integral-table", "--n", "2", "--tol", "nan"],
     "table-n-0": ["integral-table", "--n", "0"],
     "table-kmax-0": ["integral-table", "--n", "2", "--kmax", "0"],
@@ -338,9 +348,10 @@ NUMPY_FREE = {
     "classify-d4-tol-nan": ["classify", "D", "4", "--numerics", "--tol", "nan"],
 }
 NUMPY_LOADING = {
-    "table-n1-kmax1": ["integral-table", "--n", "1", "--kmax", "1"],
+    "table-n2-kmax1": ["integral-table", "--n", "2", "--kmax", "1"],
     "classify-a2-numerics": ["classify", "A", "2", "--numerics"],
 }
+FRESH_CASES = {**NUMPY_FREE, **REFUSED_WITHOUT_NUMPY, **NUMPY_LOADING}
 
 
 def run_fresh(argv, timeout=None, **environ):
@@ -364,9 +375,9 @@ def run_fresh(argv, timeout=None, **environ):
     )
 
 
-@pytest.mark.parametrize("case", [*NUMPY_FREE, *NUMPY_LOADING])
+@pytest.mark.parametrize("case", FRESH_CASES)
 def test_numpy_loads_only_for_an_integral(tmp_path, case):
-    argv = {**NUMPY_FREE, **NUMPY_LOADING}[case]
+    argv = FRESH_CASES[case]
     if "GRAPH" in argv:
         path = tmp_path / "a3.json"
         path.write_text(json.dumps({
@@ -378,10 +389,8 @@ def test_numpy_loads_only_for_an_integral(tmp_path, case):
     if not argv:
         assert code is None
         assert out == ""  # the package root imports no submodule
-    elif case in NUMPY_FREE and (argv[0] == "integral-table" or "nan" in argv):
-        assert code == EXIT_USAGE  # the argument checks precede the kernel import
     else:
-        assert code == EXIT_OK
+        assert code == (EXIT_USAGE if case in REFUSED_WITHOUT_NUMPY else EXIT_OK)
     assert numpy_loaded == (case in NUMPY_LOADING)
     assert not fractions_loaded  # the certificate is integer-only
 
@@ -430,6 +439,14 @@ def test_residue_parse_is_linear_in_the_equation():
     assert f_line.startswith("f = x + x^2 + ") and f_line.endswith(" + x^12000")
     assert f_line.count("+") == 11999
     assert dz_line == "df/dz = 0"
+
+
+@pytest.mark.parametrize("case", ["derivative-past-digit-limit", "sum-past-digit-limit"])
+def test_residue_past_the_digit_limit_prints_nothing(case):
+    """Each line is built before either is printed: a coefficient that
+    int cannot print leaves stdout empty, not a lone f line."""
+    code, _, _, out = run_fresh(MALFORMED_ARGV[case], timeout=20)
+    assert (code, out) == (EXIT_USAGE, "")
 
 
 # -- argv fuzzing --------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The A_n integrals in the psi-form, on a G7/K15 kernel: the one module
-of the package that uses numpy.
+"""The squared norm of the A_n structure form in the psi-form, on a
+G7/K15 kernel: the one module of the package that uses numpy.
 
 Phases contribute an exact (2 pi)^2, and the moduli are parametrized by
 u_i = log rho_i, where the squared ambient norm has logarithm
@@ -18,22 +18,19 @@ every indicator:
     ||omega||^2 = 2 pi^2 (n+1) int_0^inf e^{2 s*(d)} dd,
 
 with s*(d) the level s at l = 2 log eps (the inner s-integral of e^{2s}
-is exact), so e^{2 s*} = eps^2 sigma(-psi).
+is exact), so e^{2 s*} = eps^2 sigma(-psi).  This module computes the
+norm.  The band rows I~_k are a table in `quadrature`; the band kernel
+that checks them is `annulus_bands` in tests/oracles.py, on this
+module's `_psi_integral`, and the flat limit of I~_k and its proven
+bound are written out there.
 
 Each level is labelled by s0, its s on the diagonal d = 0.  There
 psi0 = (n-1) s0 + log 2, and the level and its slope are explicit:
 
     L(s0) = 2 s0 + softplus(psi0),   dL/ds0 = 2 + (n-1) sigma(psi0).
 
-The band integral runs in u = log(-s0) (ds0 = s0 du) with weight
--s0 (dL/ds0) / L(s0)^2, between the logs of the roots s0 at the band's
-two ends, and the norm's level l = 2 log eps has one root.  The root
-(`_level_s0`) is the one level-equation solve: a scalar Newton once per
-band end (adjacent bands share one) and once per norm, never at a node
-of the kernel.  In u a band is about one unit wide and the pole of
-1/L^2 at L = 0 lies at u = -inf, so one K15 panel resolves the band:
-over n = 1..300, 300 log-spaced n up to 2^53 and k = 1..4, its
-|K15 - G7| stays below 3.2e-4 of every tolerance from 1e-8 to 0.1.
+The norm's level l = 2 log eps has one root s0, which `_level_s0` solves
+by a scalar Newton once per norm, never at a node of the kernel.
 
 The psi-form.  On a level l both s = (l - softplus psi)/2 and, with
 y = (n+1)d, log 2cosh y = psi + (n-1)(softplus psi - l)/2 are explicit in
@@ -58,21 +55,19 @@ the excess is 1/sqrt(1 - e^{-2 delta}) - 1.  It has an inverse square
 root at psi = psi0, which the substitution v = sqrt(psi - psi0)
 (dpsi = 2v dv) removes: the v-integrand is smooth and bounded, and is
 integrated on the breakpoints 0, 1, 2, 3 and V = _V_CUT = 6 at every
-tolerance.  `_tail_bound` bounds what the cut drops at each level; a
-truncation bound is that times the scale, (2 pi)^2 / (2(n+1)) times
-int_band dl / l^2 = (1 - e^{-1}) / (2e^k) for I~_k, and pi^2 eps^2 for
-||omega||^2.
+tolerance.  `_tail_bound` bounds what the cut drops at each level; the
+norm's truncation bound is that times pi^2 eps^2.
 
 In floats, every level carries e0 = e^{psi0}.  Every level has l < 0,
 and f(0) = log 3 > 0 in `_level_s0`, so s0 < 0 and psi0 <= log 2: e0 <= 2
 never overflows.  From e0 come softplus(-psi0) = log1p(e0) - psi0,
-sigma(-psi0) = 1/(1 + e0), sigma(psi0) = e0/(1 + e0), L(s0) and dL/ds0,
-and at each node sigma(-psi) = 1/(1 + e0 e^{v^2}), where
-e0 e^{v^2} <= 2 e^36.  A node then costs five transcendental passes:
-expm1(v^2), the log1p of delta, expm1(-2 delta), its square root and
-e^{-2 delta}; the weight a + b sigma(psi) costs a pass only where b != 0,
-in the norm.  The closed-form part adds 50 eps_mach of itself to the
-error estimate, for the rounding of psi0 and e0.
+sigma(-psi0) = 1/(1 + e0) and sigma(psi0) = e0/(1 + e0), and at each
+node sigma(-psi) = 1/(1 + e0 e^{v^2}), where e0 e^{v^2} <= 2 e^36.  A
+node then costs five transcendental passes: expm1(v^2), the log1p of
+delta, expm1(-2 delta), its square root and e^{-2 delta}; the weight
+a + b sigma(psi) costs a pass only where b != 0.  The closed-form part
+adds 50 eps_mach of itself to the error estimate, for the rounding of
+psi0 and e0.
 
 The kernel.  Every level takes the four panels between the breakpoints
 `_V_POINTS`, each with the Gauss-Kronrod pair G7/K15 (QUADPACK, Piessens
@@ -83,15 +78,10 @@ panel's error estimate is |K15 - G7|, floored at 50 eps_mach K15 (both
 integrands are >= 0, so K15 is the rule's sum h |f|).  No panel is
 refined and no tolerance reaches this module: the comment at `_V_POINTS`
 quotes the margins that tests/level_sweep.py measures over every level
-the program evaluates.  `level_norm` is a family of one level.
-`annulus_bands` takes each band as its one K15/G7 panel in u: the levels
-at the 15 nodes of all bands are one family, and a band's error estimate
-is its |K15 - G7|, floored alike, plus its levels' errors weighted by
-K15.  A band counts its panel and its levels' panels, 1 + 15 * 4.
-
-`annulus_bands` and `level_norm` return finished QuadratureResults,
-scaled and with their truncation bounds; `quadrature` checks their
-arguments before and their error estimates against the tolerance after.
+the program and the band oracle evaluate.  `level_norm` is a family of
+one level, and returns a finished QuadratureResult, scaled and with its
+truncation bound; `quadrature` checks its arguments before and its error
+estimate against the tolerance after.
 """
 
 from __future__ import annotations
@@ -146,11 +136,12 @@ _ROUNDOFF_FLOOR = 50.0 * _EPS
 # the v-axis is cut at _V_CUT; _tail_bound bounds what the cut drops
 _V_CUT = 6.0
 # a level takes the panels between these breakpoints at every tolerance.
-# Over every level the program evaluates (tests/level_sweep.py: the band
-# nodes of k = 1..4 and 4000 norm levels for eps in [1e-100, 1/2], for
-# n = 1..39 and 40 log-spaced n up to 2^53) the worst relative error
-# estimate is 1.52e-10 over band levels and 1.15e-9 over norm levels, 66
-# and 8.7 times within the floor tolerance 1e-8.  The breakpoint 3 splits
+# Over every level the program and the band oracle evaluate
+# (tests/level_sweep.py: the band nodes of k = 1..4 and 4000 norm levels
+# for eps in [1e-100, 1/2], for n = 1..39 and 40 log-spaced n up to 2^53)
+# the worst relative error estimate is 1.52e-10 over band levels and
+# 1.15e-9 over norm levels, 66 and 8.7 times within the floor tolerance
+# 1e-8.  The breakpoint 3 splits
 # [2, 6], near which lie the poles of sigma(-psi) at v^2 = -psi0 +- i pi
 # (v = 2.5 +- 0.63i at psi0 = -6); the shorter panels see them through
 # larger Bernstein ellipses (Trefethen, SIAM Rev. 50, 2008).  On 0, 1, 2, 6
@@ -231,42 +222,7 @@ def _tail_bound(a: float, b: float) -> float:
     return (a + 0.25 * b) * cut / (2.0 * (1.0 - cut))
 
 
-# -- the two integrals -----------------------------------------------------------
-
-def annulus_bands(n: int, ks) -> tuple[QuadratureResult, ...]:
-    """I~_k = (2 pi)^2 / (2(n+1)) int over the band -2e^{k+1} < L < -2e^k
-    of int_{psi0}^inf sigma(-psi) coth y dpsi (dL/ds0) ds0 / L^2 for each k
-    in ks: each band is one K15/G7 panel in u = log(-s0) between the roots
-    at its two ends, and the levels at the nodes of all bands are one
-    _psi_integral family."""
-    # adjacent bands share an end: one root per distinct end
-    ends = {j: math.log(-_level_s0(n, -2.0 * math.exp(j))) for j in {*ks, *(k + 1 for k in ks)}}
-    lo = np.array([ends[k] for k in ks])
-    half = 0.5 * (np.array([ends[k + 1] for k in ks]) - lo)
-    s0 = -np.exp((lo + half)[:, None] + half[:, None] * _XK).ravel()
-    psi0 = (n - 1) * s0 + _LOG_2
-    inner, inner_err, panels = _psi_integral(n, psi0, 1.0, 0.0)
-    e0 = np.exp(psi0)
-    ell = 2.0 * s0 + np.log1p(e0)
-    # ds0 = s0 du, and u falls from log(-s0) at L = -2e^{k+1} to lo as s0 rises
-    weight = -s0 * (2.0 + (n - 1) * e0 / (1.0 + e0)) / (ell * ell)
-    fx = (inner * weight).reshape(len(ks), 15)
-    # row by row: a product with @ rounds a lone row unlike a row of many
-    kronrod = half * np.einsum("ij,j->i", fx, _WK)
-    gauss = half * np.einsum("ij,j->i", fx[:, 1::2], _WG)
-    errors = np.maximum(np.abs(kronrod - gauss), _ROUNDOFF_FLOOR * kronrod)
-    errors += half * np.einsum("ij,j->i", (inner_err * weight).reshape(fx.shape), _WK)
-    scale = 4.0 * math.pi**2 / (2.0 * (n + 1))
-    used = 1 + 15 * panels  # the band's own panel and its 15 levels' panels
-    results = []
-    for k, value, error in zip(ks, kronrod, errors):
-        # the cut's bound at each level, times int_band dl / l^2
-        tail = scale * _tail_bound(1.0, 0.0) * (1.0 - math.exp(-1.0)) / (2.0 * math.exp(k))
-        results.append(
-            QuadratureResult(max(scale * float(value), 0.0), scale * float(error), used, tail)
-        )
-    return tuple(results)
-
+# -- the norm ------------------------------------------------------------------
 
 def level_norm(n: int, eps: float) -> QuadratureResult:
     """||omega||^2 = pi^2 eps^2 int_{psi0}^inf sigma(-psi) (2 + (n-1) sigma(psi))

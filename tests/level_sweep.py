@@ -6,9 +6,9 @@ Run as a script (pytest does not collect it):
     python tests/level_sweep.py
 
 For n = 1..39 and 40 log-spaced n up to 2^53 it records the levels that
-`integral_Ik_bands(n, (1, 2, 3, 4), .)` and `structure_form_l2_norm` at
-4000 log-spaced radii eps in [1e-100, 1/2] hand to
-`levelset._psi_integral`, and evaluates each of them again on two panel
+the band oracle `oracles.annulus_bands(n, (1, 2, 3, 4))` and
+`structure_form_l2_norm` at 4000 log-spaced radii eps in [1e-100, 1/2]
+hand to `levelset._psi_integral`, and evaluates each of them again on two panel
 sets: `levelset._V_POINTS` and, for comparison, the three panels 0, 1.5,
 3, 6.  It prints, per panel set and kind of level, the worst of
 `_psi_integral`'s error over its value and how many times that is within
@@ -23,7 +23,8 @@ import math
 import numpy as np
 
 from duval_kind import levelset
-from duval_kind.quadrature import MAX_N, integral_Ik_bands, structure_form_l2_norm
+from duval_kind.quadrature import MAX_N, structure_form_l2_norm
+from oracles import annulus_bands
 
 RADII = np.geomspace(1e-100, 0.5, 4000)
 FLOOR_TOL = 1e-8
@@ -44,7 +45,7 @@ def recorded_levels(n: int) -> dict[str, tuple]:
 
     levelset._psi_integral = recording
     try:
-        integral_Ik_bands(n, (1, 2, 3, 4), 1e-4)
+        annulus_bands(n, (1, 2, 3, 4))
         for eps in RADII:
             structure_form_l2_norm(n, float(eps), 1e-4)
     finally:

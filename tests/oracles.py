@@ -16,10 +16,15 @@ at a point d, and `structure_form_reference` integrates ||omega||^2 with
 it on a fixed Gauss-Legendre composite in y - y*.  `adaptive_1d` bisects
 G7/K15 panels, its own rule on the product's QUADPACK constants, on a
 plain 1-D integrand, for drills against closed forms.
-`dominating_integral` sums the annulus integrals I~_1..I~_k_max of one
-band family, `a1_band_exact` is I~_k for n = 1 to 40 digits, and
-`pullback_residue_density` is the constant density (n+1)^2 of the
-pulled-back structure form.
+`annulus_bands` is the band kernel that checks the program's band rows:
+one G7/K15 panel per band on levelset's level kernel.
+`flat_remainder_bound` is the proven bound on |I~_k - pi^2 (n-1)/(n+1)|
+(its proof is the comment above it), `flat_excess_constants` the two
+constants of the proof, and `flat_cut` the first n from which the bound
+lets a row be the flat limit.  `dominating_integral` sums the annulus
+integrals I~_1..I~_k_max of one band family, `a1_band_exact` is I~_k
+for n = 1 to 40 digits, and `pullback_residue_density` is the constant
+density (n+1)^2 of the pulled-back structure form.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
+from duval_kind import levelset
 from duval_kind.cycles import Cycle, CycleError
 from duval_kind.dual_graph import DualGraph, ParameterError, ade_type
 from duval_kind.levelset import _WG, _WK, _XK
@@ -434,6 +440,126 @@ def structure_form_reference(n: int, eps: float, panels: int = 256) -> tuple[flo
 
     value = composite(panels)
     return value, abs(value - composite(panels // 2)) + 8.0 * np.finfo(float).eps * value
+
+
+# -- the band kernel, and the proven bound on the flat remainder ---------------
+
+def annulus_bands(n: int, ks) -> tuple[QuadratureResult, ...]:
+    """I~_k = (2 pi)^2 / (2(n+1)) int over the band -2e^{k+1} < L < -2e^k
+    of int_{psi0}^inf sigma(-psi) coth y dpsi (dL/ds0) ds0 / L^2 for each k
+    in ks, on levelset's kernel: each band is one K15/G7 panel in
+    u = log(-s0) between the roots at its two ends, and the levels at the
+    nodes of all bands are one `levelset._psi_integral` family.  A band's
+    error estimate is its |K15 - G7|, floored at 50 eps_mach K15, plus its
+    levels' errors weighted by K15; it counts its panel and its levels'
+    panels, 1 + 15 * 4.  The program's band rows are checked against it."""
+    # adjacent bands share an end: one root per distinct end
+    ends = {
+        j: math.log(-levelset._level_s0(n, -2.0 * math.exp(j)))
+        for j in {*ks, *(k + 1 for k in ks)}
+    }
+    lo = np.array([ends[k] for k in ks])
+    half = 0.5 * (np.array([ends[k + 1] for k in ks]) - lo)
+    s0 = -np.exp((lo + half)[:, None] + half[:, None] * _XK).ravel()
+    psi0 = (n - 1) * s0 + math.log(2.0)
+    inner, inner_err, panels = levelset._psi_integral(n, psi0, 1.0, 0.0)
+    e0 = np.exp(psi0)
+    ell = 2.0 * s0 + np.log1p(e0)
+    # ds0 = s0 du, and u falls from log(-s0) at L = -2e^{k+1} to lo as s0 rises
+    weight = -s0 * (2.0 + (n - 1) * e0 / (1.0 + e0)) / (ell * ell)
+    fx = (inner * weight).reshape(len(ks), 15)
+    # row by row: a product with @ rounds a lone row unlike a row of many
+    kronrod = half * np.einsum("ij,j->i", fx, _WK)
+    gauss = half * np.einsum("ij,j->i", fx[:, 1::2], _WG)
+    floor = levelset._ROUNDOFF_FLOOR
+    errors = np.maximum(np.abs(kronrod - gauss), floor * kronrod)
+    errors += half * np.einsum("ij,j->i", (inner_err * weight).reshape(fx.shape), _WK)
+    scale = TWO_PI_SQ / (2.0 * (n + 1))
+    used = 1 + 15 * panels  # the band's own panel and its 15 levels' panels
+    results = []
+    for k, value, error in zip(ks, kronrod, errors):
+        # the cut's bound at each level, times int_band dl / l^2
+        tail = scale * levelset._tail_bound(1.0, 0.0) * (1.0 - math.exp(-1.0)) / (2.0 * math.exp(k))
+        results.append(
+            QuadratureResult(max(scale * float(value), 0.0), scale * float(error), used, tail)
+        )
+    return tuple(results)
+
+
+# The flat remainder.  I~_k(n) = pi^2 (n-1)/(n+1) + R_k(n), and
+#
+#     R_k = (2 pi)^2 / (2(n+1)) int_band b(l) dl / l^2,
+#     b = (n+1)/2 log1p(e0) - log 2 + C(psi0),
+#
+# on the level l = 2 s0 + log1p(e0), e0 = e^psi0 = 2 e^{(n-1) s0}: the
+# inner integral of levelset's docstring is [softplus(-psi0) + C(psi0)] /
+# (2(n+1)), and softplus(-psi0) = (n-1)|l|/2 + (n+1)/2 log1p(e0) - log 2,
+# whose first term integrates to the limit.  With w = psi - psi0,
+# E(t) = (1 - e^{-2t})^{-1/2} - 1 (convex and decreasing) and
+# delta = w + (n-1)/2 log1p(p expm1(w)), p = e0/(1 + e0),
+#
+#     C(psi0) = int_0^inf sigma(-psi0 - w) E(delta) dw.
+#
+# Upper side: sigma(-psi) <= 1 and delta >= w, so C <= int_0^inf E(w) dw
+# = log 2, and b <= (n+1)/2 log1p(e0) <= (n+1)/2 e0.
+# Lower side: log 2 - C = int [E(w) - E(delta)] dw + int sigma(psi) E(delta) dw.
+# The tangent line of the convex E gives E(w) - E(delta) <= -E'(w)(delta - w),
+# and delta - w <= (n-1)/2 p expm1(w) <= (n-1)/2 e0 (e^w - 1) by log1p x <= x
+# and p <= e0; sigma(psi) <= e0 e^w and E(delta) <= E(w).  So
+#
+#     log 2 - C <= e0 (K1 + (n-1)/2 K2),
+#     K1 = int_0^inf e^t E(t) dt = 1,
+#     K2 = int_0^inf e^{-2t} (1 - e^{-2t})^{-3/2} (e^t - 1) dt = 1,
+#
+# (with x = e^{-t}, K1 = int_0^1 ((1 - x^2)^{-1/2} - 1) dx / x^2 =
+# [(1 - sqrt(1 - x^2)) / x]_0^1 and K2 = int_0^1 (1 - x)^{-1/2} (1 + x)^{-3/2} dx
+# = [-sqrt((1 - x) / (1 + x))]_0^1), and b >= -(n+1)/2 e0.  Hence
+# |b| <= (n+1)/2 e0 and, since s0 <= l/2 (log1p(e0) >= 0),
+#
+#     |R_k| <= pi^2 int_band e0 dl / l^2 <= 2 pi^2 int_band e^{(n-1)l/2} dl / l^2,
+#
+# which falls with n while the limit rises.
+
+def flat_remainder_bound(n: int, k: int) -> mp.mpf:
+    """2 pi^2 int_{-2e^{k+1}}^{-2e^k} e^{a l} dl / l^2 with a = (n-1)/2, the
+    proven bound on |R_k(n)|, in closed form: the antiderivative of
+    e^{a l} / l^2 is a Ei(a l) - e^{a l} / l."""
+    with mp.workdps(30):
+        a = mp.mpf(n - 1) / 2
+
+        def antiderivative(ell):
+            return a * mp.ei(a * ell) - mp.exp(a * ell) / ell
+
+        return 2 * mp.pi**2 * (antiderivative(-2 * mp.e**k) - antiderivative(-2 * mp.e ** (k + 1)))
+
+
+def flat_excess_constants() -> tuple[mp.mpf, mp.mpf]:
+    """(K1, K2) of the lower side of the bound, by quadrature in t = x^2,
+    which removes the inverse square roots at t = 0."""
+    with mp.workdps(30):
+
+        def k1(x):
+            t = x * x
+            q = -mp.expm1(-2 * t)
+            # e^t E(t), E = e^{-2t} / (sqrt q + q)
+            return 2 * x * mp.exp(-t) / (mp.sqrt(q) + q)
+
+        def k2(x):
+            t = x * x
+            return 2 * x * mp.exp(-2 * t) * mp.expm1(t) / (-mp.expm1(-2 * t)) ** 1.5
+
+        return mp.quad(k1, [0, 1, mp.inf]), mp.quad(k2, [0, 1, mp.inf])
+
+
+def flat_cut(k: int) -> int:
+    """The least n >= 2 from which the bound on |R_k(n)| is below
+    8 * 2^-53 of the limit pi^2 (n-1)/(n+1), the half of a row's error
+    that quadrature leaves to it: the bound falls and the limit rises with
+    n, so every larger n is flat too."""
+    n = 2
+    while flat_remainder_bound(n, k) > 8 * mp.mpf(2) ** -53 * mp.pi**2 * (n - 1) / (n + 1):
+        n += 1
+    return n
 
 
 # -- sums and densities over the A_n covering ---------------------------------

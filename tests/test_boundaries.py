@@ -1,19 +1,20 @@
-"""The psi-form is private to levelset: quadrature reaches it through the
-two entry points only, and no other module of src/duval_kind names it.
-Inside levelset, the psi-form keeps to e0 = e^psi0 (no softplus), the
-kernel to (15, 2) rule products (no matrix-vector product with _WK) and
-to flat integrands (no isinstance), and a band is one panel whose levels
-are the only adaptive integrals (`annulus_bands` reaches the kernel
-through `_psi_integral` alone).  levelset returns finished results, and
-quadrature alone checks them against the tolerance.  The JSON that cli
-and classify print has one writer, `classify.indented_json`."""
+"""The psi-form is private to levelset: quadrature reaches it through its
+one entry point, the norm, and no other module of src/duval_kind names
+it.  Inside levelset, the psi-form keeps to e0 = e^psi0 (no softplus),
+the kernel to (15, 2) rule products (no matrix-vector product with _WK)
+and to flat integrands (no isinstance).  The band kernel is the oracle
+in tests/oracles.py, and a band there is one panel whose levels reach
+levelset's kernel through `_psi_integral` alone.  levelset returns
+finished results, and quadrature alone checks them against the
+tolerance.  The JSON that cli and classify print has one writer,
+`classify.indented_json`."""
 
 import ast
 import os
 
-REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-PACKAGE_DIR = os.path.join(REPO_ROOT, "src", "duval_kind")
-ENTRY_POINTS = {"annulus_bands", "level_norm"}
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+PACKAGE_DIR = os.path.join(TESTS_DIR, os.pardir, "src", "duval_kind")
+ENTRY_POINTS = {"level_norm"}
 
 
 def parsed_modules() -> dict[str, ast.Module]:
@@ -95,11 +96,11 @@ def test_levelset_integrands_are_flat():
 
 
 def test_annulus_bands_reaches_the_kernel_only_through_psi_integral():
-    # the names each module-level function of levelset uses
+    # the names each module-level function of the oracles uses
+    with open(os.path.join(TESTS_DIR, "oracles.py"), encoding="utf-8") as fh:
+        oracles = ast.parse(fh.read(), filename="oracles.py")
     calls = {
-        node.name: identifiers(node)
-        for node in parsed_modules()["levelset"].body
-        if isinstance(node, ast.FunctionDef)
+        node.name: identifiers(node) for node in oracles.body if isinstance(node, ast.FunctionDef)
     }
     assert "_psi_integral" in calls["annulus_bands"]
     # every function annulus_bands reaches without passing _psi_integral

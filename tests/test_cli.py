@@ -263,6 +263,16 @@ def test_classify_at_largest_index_prints_highest_root(capsys, type_, root):
     assert f"fundamental_cycle: {root}\n" in out
 
 
+def test_an_option_value_starting_with_a_dash_is_left_to_argparse(capsys):
+    # argparse reads "-1e5" as an option, not as the value of --tol, and
+    # prints its usage; a plain-argv reader that took it as the value would
+    # print check_tol's message instead
+    code, out, err = run_cli(capsys, "integral-table", "--n", "2", "--tol", "-1e5")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage: duval-kind integral-table ")
+    assert err.endswith("error: argument --tol: expected one argument\n")
+
+
 def test_reused_parser_keeps_no_state(capsys):
     malformed = ("classify", "A")  # index missing
     nan_tol = ("integral-table", "--n", "1", "--tol", "nan")
@@ -303,7 +313,7 @@ def test_plain_argv_is_parsed_without_argparse(capsys, monkeypatch, tmp_path):
         assert (code, err) == (EXIT_OK, ""), argv
 
 
-# -- numpy loads with the first kernel integral, and only then -----------------
+# -- no CLI command loads numpy; the norm, which no command computes, does ------
 
 # runs cli.main(argv) with stderr discarded, prints the exit code and
 # whether numpy and fractions were imported, then the command's stdout;
@@ -332,12 +342,17 @@ NUMPY_FREE = {
     "fundamental-cycle-graph": ["fundamental-cycle", "--graph", "GRAPH"],
     "residue-d5": ["residue", "D", "5"],
     "residue-equation": ["residue", "--equation", "x^2+y^3+z^5"],
-    # n = 1 bands are a closed form: no kernel
+    # band rows are a closed form, a table entry or the flat limit: no kernel
     "table-n1-kmax1": ["integral-table", "--n", "1", "--kmax", "1"],
     "table-n1-kmax4": ["integral-table", "--n", "1", "--kmax", "4"],
     "classify-a1-numerics": ["classify", "A", "1", "--numerics"],
+    "table-n2-kmax1": ["integral-table", "--n", "2", "--kmax", "1"],
+    "table-n2-kmax4": ["integral-table", "--n", "2", "--kmax", "4"],
+    "table-n1000": ["integral-table", "--n", "1000"],
+    "table-n-max": ["integral-table", "--n", "9007199254740992"],
+    "classify-a2-numerics": ["classify", "A", "2", "--numerics"],
 }
-# usage errors: the argument checks precede the kernel import
+# usage errors
 REFUSED_WITHOUT_NUMPY = {
     "table-tol-nan": ["integral-table", "--n", "2", "--tol", "nan"],
     "table-n-0": ["integral-table", "--n", "0"],
@@ -347,11 +362,7 @@ REFUSED_WITHOUT_NUMPY = {
     "classify-a2-tol-nan": ["classify", "A", "2", "--numerics", "--tol", "nan"],
     "classify-d4-tol-nan": ["classify", "D", "4", "--numerics", "--tol", "nan"],
 }
-NUMPY_LOADING = {
-    "table-n2-kmax1": ["integral-table", "--n", "2", "--kmax", "1"],
-    "classify-a2-numerics": ["classify", "A", "2", "--numerics"],
-}
-FRESH_CASES = {**NUMPY_FREE, **REFUSED_WITHOUT_NUMPY, **NUMPY_LOADING}
+FRESH_CASES = {**NUMPY_FREE, **REFUSED_WITHOUT_NUMPY}
 
 
 def run_fresh(argv, timeout=None, **environ):
@@ -391,8 +402,27 @@ def test_numpy_loads_only_for_an_integral(tmp_path, case):
         assert out == ""  # the package root imports no submodule
     else:
         assert code == (EXIT_USAGE if case in REFUSED_WITHOUT_NUMPY else EXIT_OK)
-    assert numpy_loaded == (case in NUMPY_LOADING)
+    assert not numpy_loaded
     assert not fractions_loaded  # the certificate is integer-only
+
+
+def test_the_norm_alone_loads_numpy():
+    # a table in the same process loads none; the norm's kernel does
+    source = (
+        "import sys\n"
+        "from duval_kind.quadrature import integral_Ik_bands, structure_form_l2_norm\n"
+        "integral_Ik_bands(3, (1, 2, 3, 4), 1e-8)\n"
+        "print('numpy' in sys.modules)\n"
+        "structure_form_l2_norm(2, 0.2, 1e-4)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    source_root = os.path.dirname(os.path.dirname(duval_kind.__file__))
+    search_path = [source_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, search_path))}
+    done = subprocess.run(
+        [sys.executable, "-c", source], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_bulk_laufer_steps_bound_the_work(tmp_path):

@@ -1,14 +1,16 @@
 import math
 import re
 
+import band_constants
 import estimate_sweep
+import flat_bound_sweep
 import level_sweep
 import mpmath as mp
 import numpy as np
 import pytest
 
-from duval_kind import levelset
-from duval_kind.levelset import _WG, _WK, _XK, _level_s0, _psi_integral
+from duval_kind import levelset, quadrature
+from duval_kind.levelset import _WG, _WK, _XK, _level_s0, _psi_integral, _tail_bound
 from duval_kind.quadrature import (
     QuadratureBudgetError,
     QuadratureRangeError,
@@ -20,12 +22,17 @@ from duval_kind.quadrature import (
 from oracles import (
     a1_band_exact,
     adaptive_1d,
+    annulus_bands,
     dominating_integral,
+    flat_cut,
+    flat_excess_constants,
+    flat_remainder_bound,
     level_s,
     monte_carlo_Ik,
     monte_carlo_l2_norm,
     structure_form_reference,
 )
+from test_acceptance import I_TILDE_REMAINDER
 
 # Diagonal-slice drill: on rho1 = rho2 = rho with n = 1 the squared norm
 # is 3 rho^4, and in v = log rho the radial integrand becomes
@@ -72,10 +79,8 @@ def test_range_errors():
     ids=["ks0", "ks1", "ks0-tol1e-8", "ks1-tol1e-8"],
 )
 def test_band_family_matches_lone_integrals(n, ks, tol):
-    # each row of the family is its band alone: the same panels and
-    # truncation bound, and values equal up to rounding (BLAS products over
-    # a different number of panels round a row differently);
-    # a row uses 61 panels at every tolerance
+    # each row of the family is its band alone: the same region count,
+    # truncation bound and value up to rounding
     family = integral_Ik_bands(n, ks, tol)
     assert len(family) == len(ks)
     for k, row in zip(ks, family):
@@ -251,8 +256,8 @@ def test_n1_bands_are_the_closed_form_within_their_error(ks, tol):
 
 
 def test_kernel_n1_bands_match_the_closed_form():
-    # no table sends n = 1 to the kernel, which must still agree with it
-    for k, row in zip((1, 2, 3, 4), levelset.annulus_bands(1, (1, 2, 3, 4))):
+    # the band kernel in the oracles must agree with the n = 1 closed form
+    for k, row in zip((1, 2, 3, 4), annulus_bands(1, (1, 2, 3, 4))):
         assert abs(row.value - a1_band_exact(k)) <= row.error_estimate + row.truncation_bound, k
 
 
@@ -270,14 +275,15 @@ def test_structure_form_l2_norm_small_radii():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: integral_Ik(2, 1, 1e-8),
-        lambda: integral_Ik_bands(2, (1, 2), 1e-8),
+        lambda: structure_form_l2_norm(2, 0.1, 1e-8),
+        lambda: structure_form_l2_norm(8, 0.5, 1e-8),
         lambda: structure_form_l2_norm(3, 0.01, 1e-8),
     ],
 )
 def test_budget_exhaustion_carries_finite_partial(monkeypatch, call):
     # on the v-panels 0, 1, 2, 6 these levels miss 1e-8, so the result is
     # raised with its partial, and the message names that partial's panels
+    # (a band row is a table entry, whose error no panel set can move)
     monkeypatch.setattr(levelset, "_V_POINTS", np.array([0.0, 1.0, 2.0, 6.0]))
     with pytest.raises(QuadratureBudgetError) as info:
         call()
@@ -289,6 +295,24 @@ def test_budget_exhaustion_carries_finite_partial(monkeypatch, call):
     assert 0 < partial.value < math.inf
     assert math.isfinite(partial.error_estimate)
     assert partial.error_estimate > 1e-8 * partial.value
+
+
+def test_a_subnormal_miss_names_the_rounding_not_the_panels():
+    # the norm's error is floored at 2^-1074, so a subnormal norm misses
+    # 1e-8 through its last place, and no panel count could do better
+    with pytest.raises(QuadratureBudgetError) as info:
+        structure_form_l2_norm(3, 1e-162, 1e-8)
+    partial = info.value.partial
+    assert 0 < partial.value < 2.0**-1022
+    message = re.fullmatch(
+        r"rel err (\S+) misses rel_tol 1e-08 at the subnormal value (\S+), "
+        r"whose last place alone is (\S+) of it",
+        str(info.value),
+    )
+    assert message, str(info.value)
+    assert float(message[1]) == pytest.approx(partial.error_estimate / partial.value, rel=0.01)
+    assert float(message[2]) == pytest.approx(partial.value, rel=1e-6)
+    assert float(message[3]) == pytest.approx(math.ulp(partial.value) / partial.value, rel=0.01)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -348,8 +372,10 @@ def test_psi_integral_weight_with_sigma_psi():
 @pytest.mark.parametrize("n", [10, 100, 1000, 10**4, 10**6])
 @pytest.mark.parametrize("tol", [1e-4, 1e-8])
 def test_Ik_large_n_matches_the_limit(n, tol):
-    # I~_k = pi^2 (n-1)/(n+1) + R_k with R_k <= e^{(n-1) l}, l <= -2e on
-    # every band, so from n = 10 on R_k is below an ulp of the limit
+    # I~_k = pi^2 (n-1)/(n+1) + R_k with |R_k| <= 2 pi^2 int_band
+    # e^{(n-1) l / 2} dl / l^2, the bound proven at
+    # oracles.flat_remainder_bound, below 8 * 2^-53 of the limit from n = 13
+    # on at k = 1 and from n = 6 on at k = 2
     limit = math.pi**2 * (n - 1) / (n + 1)
     for row in integral_Ik_bands(n, (1, 2, 3, 4), tol):
         assert abs(row.value - limit) <= row.error_estimate + row.truncation_bound
@@ -357,9 +383,9 @@ def test_Ik_large_n_matches_the_limit(n, tol):
 
 
 def test_one_panel_per_band_meets_the_tolerance_floor():
-    # each band is one K15 panel in u = log(-s0), never refined: at the
-    # floor tolerance 1e-8 it must still meet its tolerance, from n = 1 to
-    # 2^53
+    # each band row is one exact region whose error is its rounding, and
+    # at the floor tolerance 1e-8 it must still meet its tolerance, from
+    # n = 1 to 2^53
     ns = list(range(1, 21)) + sorted({int(n) for n in np.geomspace(21, 2**53, 20)})
     for n in ns:
         for row in integral_Ik_bands(n, (1, 2, 3, 4), 1e-8):
@@ -452,10 +478,10 @@ def test_sweep_scripts_run_on_three_radii(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10**6])
 def test_levels_converge_in_one_kronrod_round(monkeypatch, n):
-    # no v-panel of a level splits, at any tolerance: a table is one round
-    # of the levels at the nodes of all its bands (none for n = 1, whose
-    # bands are a closed form), and the tolerance picks no panels, so every
-    # value, error and panel count is that of 1e-8
+    # no v-panel of a level splits, at any tolerance: a norm is one round
+    # of its one level, a table (a closed form, a table entry or the flat
+    # limit per band) makes none, and the tolerance picks no panels, so
+    # every value, error and panel count is that of 1e-8
     calls = []
     inner = levelset._psi_integral
     monkeypatch.setattr(levelset, "_psi_integral", lambda *args: calls.append(1) or inner(*args))
@@ -467,7 +493,7 @@ def test_levels_converge_in_one_kronrod_round(monkeypatch, n):
     for tol in (1e-2, 1e-4, 1e-6, 1e-8):
         calls.clear()
         table = integral_Ik_bands(n, (1, 2, 3, 4), tol)
-        assert len(calls) == (0 if n == 1 else 1), tol
+        assert len(calls) == 0, tol
         norms = []
         for eps in radii:
             calls.clear()
@@ -490,9 +516,8 @@ def test_every_table_and_norm_meets_its_tolerance(tol):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_level_equation_is_solved_outside_kernel_rounds(monkeypatch, n):
-    # the root s0 is solved at the ends of the bands and at the one level
-    # of a norm, never at a node: a table makes as many calls at 1e-8 as
-    # at 1e-4
+    # the root s0 is solved at the one level of a norm, never at a node,
+    # and a table solves none: it makes as many calls at 1e-8 as at 1e-4
     calls = []
     solve = levelset._level_s0
     monkeypatch.setattr(levelset, "_level_s0", lambda *args: calls.append(1) or solve(*args))
@@ -513,7 +538,8 @@ def test_level_equation_is_solved_outside_kernel_rounds(monkeypatch, n):
 def test_reported_panels_are_the_panels_evaluated(monkeypatch, n, tol):
     # every level _psi_integral evaluates takes the panels between the
     # breakpoints _V_POINTS, each counted once in the subregions_used of the
-    # integral it belongs to, and each band adds its own one panel
+    # integral it belongs to; a table evaluates none, and each band row
+    # counts as its one exact region
     evaluated = []
     psi_integral = levelset._psi_integral
 
@@ -526,3 +552,123 @@ def test_reported_panels_are_the_panels_evaluated(monkeypatch, n, tol):
     assert sum(row.subregions_used for row in table) == sum(evaluated) + len(table)
     evaluated.clear()
     assert structure_form_l2_norm(n, 1e-3, tol).subregions_used == sum(evaluated)
+
+
+# -- band rows: the table, the flat limit and its proven bound -----------------
+
+ROW_NS = list(range(1, 41)) + [int(n) for n in np.geomspace(41, 2**53, 20)[:-1]] + [2**53]
+
+
+def flat_limit(n: int) -> mp.mpf:
+    return mp.pi**2 * (n - 1) / (n + 1)
+
+
+def test_every_band_row_is_within_its_error_of_the_kernel():
+    # each row (closed form, table entry or flat limit) against the band
+    # kernel in the oracles, within the row's rounding bound and the
+    # kernel's error, for k = 1..4 with n = 1..40 and 20 log-spaced n up to
+    # 2^53
+    assert len(ROW_NS) == 60
+    for n in ROW_NS:
+        kernel = annulus_bands(n, (1, 2, 3, 4))
+        for k, row, oracle in zip((1, 2, 3, 4), integral_Ik_bands(n, (1, 2, 3, 4), 1e-8), kernel):
+            assert row.error_estimate == 16 * 2.0**-53 * row.value, (n, k)
+            assert (row.truncation_bound, row.subregions_used) == (0.0, 1), (n, k)
+            slack = row.error_estimate + oracle.error_estimate + oracle.truncation_bound
+            assert abs(row.value - oracle.value) <= slack, (n, k)
+
+
+def test_band_table_holds_the_bands_the_flat_bound_leaves_open():
+    # the cut of each k is where the proven bound on |R_k| falls below 8
+    # * 2^-53 of the limit; every band before it is a table entry, and
+    # every band from it on is the flat limit
+    opened = {(n, k) for k in (1, 2, 3, 4) for n in range(2, flat_cut(k))}
+    assert len(opened) == 16
+    assert set(quadrature._BANDS) == set(band_constants.FROZEN) == opened
+    for k in (1, 2, 3, 4):
+        n = flat_cut(k)
+        assert flat_remainder_bound(n, k) <= 8 * 2.0**-53 * flat_limit(n)
+        flat = integral_Ik(n, k, 1e-8)
+        assert flat.value == math.pi**2 * ((n - 1) / (n + 1))
+        assert abs(flat.value - flat_limit(n)) <= flat.error_estimate - flat_remainder_bound(n, k)
+
+
+def test_band_table_entries_are_their_30_digit_values():
+    with mp.workdps(40):
+        for (n, k), text in band_constants.FROZEN.items():
+            exact = mp.mpf(text)
+            assert quadrature._BANDS[n, k] == float(exact), (n, k)
+            row = integral_Ik(n, k, 1e-8)
+            assert abs(row.value - exact) <= row.error_estimate, (n, k)
+
+
+def test_band_constants_agree_with_the_frozen_remainders():
+    # tests/remainder_oracle.py parametrises the level set otherwise; its
+    # remainders are frozen to half a unit in the 12th digit
+    with mp.workdps(40):
+        for n, frozen in I_TILDE_REMAINDER.items():
+            for k, remainder in zip((1, 2), frozen):
+                table = mp.mpf(band_constants.FROZEN[n, k]) - flat_limit(n)
+                assert abs(table - remainder) <= 5e-12 * remainder, (n, k)
+
+
+def test_flat_bound_holds_where_the_remainder_is_known():
+    # the 16 table values and the frozen R_1 and R_2 of n = 2, 3, in mpmath;
+    # tests/flat_bound_sweep.py checks 100 bands
+    with mp.workdps(40):
+        known = {nk: mp.mpf(text) - flat_limit(nk[0]) for nk, text in band_constants.FROZEN.items()}
+    known.update({(n, k): frozen[k - 1] for n, frozen in I_TILDE_REMAINDER.items() for k in (1, 2)})
+    for (n, k), remainder in known.items():
+        assert 0 < remainder <= flat_remainder_bound(n, k), (n, k)
+
+
+def test_flat_excess_constants_are_one():
+    # K1 and K2 of the bound's lower side are exactly 1 (their closed forms
+    # are in the proof at oracles.flat_remainder_bound)
+    k1, k2 = flat_excess_constants()
+    assert abs(k1 - 1) <= 1e-20
+    assert abs(k2 - 1) <= 1e-20
+
+
+def test_band_scripts_run_at_low_precision():
+    # tests/band_constants.py and tests/flat_bound_sweep.py each take
+    # minutes as scripts; here each computes one band at low precision
+    with mp.workdps(40):
+        value, error = band_constants.band_value(2, 1, digits=4)
+        assert abs(value - mp.mpf(band_constants.FROZEN[2, 1])) <= 1e-4 * value
+        assert error <= 1e-4 * value
+    # R_2(3) is 5e-14 of its value: computed without taking the limit off
+    remainder = flat_bound_sweep.remainder(3, 2)
+    assert abs(remainder - I_TILDE_REMAINDER[3][1]) <= 1e-7 * remainder
+    assert remainder <= flat_remainder_bound(3, 2)
+
+
+def dropped_tails(n: int, psi0: float) -> tuple[mp.mpf, mp.mpf]:
+    """What the cut at v = _V_CUT drops from the excess integral of the
+    level psi0, for the two parts sigma(-psi) and sigma(-psi) sigma(psi) of
+    the weight sigma(-psi) (a + b sigma(psi))."""
+    with mp.workdps(20):
+        excess = band_constants.excess_integrand(n, mp.exp(psi0))
+
+        def sigma(v):
+            return 1 / (1 + mp.exp(-psi0 - v * v))
+
+        cut = mp.mpf(levelset._V_CUT)
+        return (
+            mp.quad(excess, [cut, cut + 2, mp.inf]),
+            mp.quad(lambda v: excess(v) * sigma(v), [cut, cut + 2, mp.inf]),
+        )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+def test_tail_bound_holds_for_the_norm_weight(n):
+    # the norm's weight is (a, b) = (2, n - 1); _tail_bound is linear in it
+    # and bounds the dropped tail of each part, a sigma(-psi) and
+    # b sigma(-psi) sigma(psi), at the norm's levels from eps = 1e-100 to
+    # 1/2, among them the level where sigma(psi) = 1/2 at the cut
+    for eps in (1e-100, 1e-16, 1e-8, 1e-3, 0.5):
+        psi0 = (n - 1) * _level_s0(n, 2.0 * math.log(eps)) + math.log(2.0)
+        first, second = dropped_tails(n, psi0)
+        assert 0 < first <= _tail_bound(1.0, 0.0), eps
+        assert 0 < second <= _tail_bound(0.0, 1.0), eps
+        assert 2 * first + (n - 1) * second <= _tail_bound(2.0, n - 1.0), eps
